@@ -25,7 +25,7 @@ import (
 
 // Transport abstracts the medium a node is attached to: the deterministic
 // simulator (netsim.Network) for tests and benchmarks, or the live
-// goroutine-and-channel runtime (internal/runtime) for the examples.
+// backends of internal/transport (inproc, tcp) for the examples and noded.
 type Transport interface {
 	// Send transmits a payload between nodes, subject to the medium's
 	// loss/reorder/duplication behavior.

@@ -45,6 +45,34 @@ func TestDuplicationCounter(t *testing.T) {
 	t.Fatalf("duplicated %d, want 10", n.Duplicated())
 }
 
+// TestInspectSerializesWithHandler: Inspect runs its closure on the
+// node's own goroutine, and reports false for a node that does not
+// exist.
+func TestInspectSerializesWithHandler(t *testing.T) {
+	n := inproc.New(1, transport.Options{Capacity: 64, TickEvery: 500 * time.Microsecond})
+	defer n.Close()
+	h := &tickHandler{}
+	if err := n.AddNode(1, h); err != nil {
+		t.Fatal(err)
+	}
+	seen := -1
+	if !n.Inspect(1, func() { seen = h.ticks }) {
+		t.Fatal("Inspect failed")
+	}
+	if seen < 0 {
+		t.Fatal("Inspect closure did not run")
+	}
+	if n.Inspect(99, func() {}) {
+		t.Fatal("Inspect of unknown node succeeded")
+	}
+}
+
+// tickHandler counts ticks; the count is read only through Inspect.
+type tickHandler struct{ ticks int }
+
+func (h *tickHandler) Receive(ids.ID, any) {}
+func (h *tickHandler) Tick()               { h.ticks++ }
+
 type nopHandler struct{}
 
 func (nopHandler) Receive(ids.ID, any) {}

@@ -1,6 +1,6 @@
 // Package tcp is the multi-process backend of the transport subsystem:
 // nodes run in separate OS processes and exchange the stack's messages
-// over TCP using the versioned length-prefixed codec of transport/wire.
+// over TCP using the length-prefixed binary codec of transport/wire.
 // cmd/noded builds on it.
 //
 // Topology: every node listens on its address from the cluster address
@@ -23,12 +23,13 @@
 //
 // Hot-path batching: each outbound link's write loop coalesces every
 // frame already waiting in its queue into a single connection write
-// (wire.Writer.Append + one Flush, bounded by maxCoalesce), and
-// Config.WireVersion lets the process write an older wire-format
-// version for peers that have not been upgraded yet (DESIGN.md §11).
+// (wire.Writer.Append + one Flush, bounded by maxCoalesce). A message
+// the codec refuses is dropped alone; the connection and the rest of
+// the group carry on.
 package tcp
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -64,13 +65,6 @@ type Config struct {
 	// transfer of a large (multi-frame) message or coalesced group
 	// gets a fresh budget per write.
 	WriteTimeout time.Duration
-	// WireVersion is the wire-format version this process writes
-	// (0 = wire.Version). Setting it to an older accepted version makes
-	// every outbound stream decodable by peers that only speak that
-	// version — the rolling-upgrade knob; the writer downgrades message
-	// schemas accordingly (see wire.NewWriterVersion). Reading always
-	// accepts the full [wire.MinVersion, wire.Version] range.
-	WireVersion byte
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -94,22 +88,19 @@ func (c *Config) fill() {
 	if c.Opts.MaxDelay < c.Opts.MinDelay {
 		c.Opts.MaxDelay = c.Opts.MinDelay
 	}
-	if c.WireVersion == 0 {
-		c.WireVersion = wire.Version
-	}
 }
 
 // Stats aggregates transport-level counters.
 type Stats struct {
 	Sent       uint64
 	Delivered  uint64
-	Dropped    uint64 // loss, full queues, unreachable destinations
+	Dropped    uint64 // loss, full queues, unreachable destinations, codec refusals
 	Duplicated uint64
 	Redials    uint64
 	DecodeErrs uint64
 	// ConnWrites counts connection flushes, FramesWritten the wire
-	// frames they carried (a message larger than wire.MaxFrame spans
-	// several); FramesWritten/ConnWrites is the achieved write
+	// frames they carried (a message larger than wire.MaxFrame is
+	// chunked over several); FramesWritten/ConnWrites is the achieved write
 	// coalescing factor (frames ready while a flush was in progress are
 	// folded into the next one).
 	ConnWrites    uint64
@@ -311,7 +302,7 @@ func (t *Net) readLoop(conn net.Conn) {
 			continue
 		}
 		select {
-		case dst.inbox <- inboxItem{from: msg.From, payload: msg.Payload()}:
+		case dst.inbox <- inboxItem{from: msg.From, payload: msg.Payload}:
 		case <-dst.done:
 			t.dropped.Add(1)
 		default:
@@ -559,7 +550,7 @@ func (l *link) writeLoop() {
 			// The deadline wrapper re-arms WriteTimeout before every
 			// write syscall, so the budget bounds peer stalls — not the
 			// total size of a coalesced group or split message.
-			ww, err := wire.NewWriterVersion(&deadlineWriter{conn: c, timeout: l.t.cfg.WriteTimeout}, l.t.cfg.WireVersion)
+			ww, err := wire.NewWriter(&deadlineWriter{conn: c, timeout: l.t.cfg.WriteTimeout})
 			if err != nil {
 				c.Close()
 				l.t.dropped.Add(1)
@@ -573,18 +564,27 @@ func (l *link) writeLoop() {
 		// Coalesce every already-ready frame into this connection write:
 		// Append buffers each message, one Flush hands the group to the
 		// kernel — one syscall (and one wakeup on the receiver) instead
-		// of one per frame when the queue runs hot.
+		// of one per frame when the queue runs hot. A message the codec
+		// refuses writes nothing, so only it is dropped.
 		framesBefore := w.Frames()
-		err := w.Append(msg)
-		msgs := uint64(1)
-	drain:
-		for err == nil && msgs < maxCoalesce {
+		var err error
+		msgs := uint64(0) // appended to this write; dropped with it on failure
+	group:
+		for n := 1; ; n++ {
+			msgs++
+			if err = w.Append(msg); errors.Is(err, wire.ErrUnsupportedPayload) || errors.Is(err, wire.ErrMessageTooLarge) {
+				l.t.logf("tcp: drop message to %v: %v", l.to, err)
+				l.t.dropped.Add(1)
+				msgs--
+				err = nil
+			}
+			if err != nil || n == maxCoalesce {
+				break
+			}
 			select {
-			case more := <-l.out:
-				err = w.Append(more)
-				msgs++
+			case msg = <-l.out:
 			default:
-				break drain
+				break group
 			}
 		}
 		if err == nil {

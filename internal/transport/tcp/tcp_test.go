@@ -21,31 +21,6 @@ func TestConformance(t *testing.T) {
 			n := tcp.New(tcp.Config{Addrs: addrs, Seed: seed, Opts: opts})
 			return conformance.Harness{Net: n, Settle: time.Sleep}
 		},
-		// Two processes over one address book, the first negotiated down
-		// to wire version 2 — the rolling-upgrade shape the writer
-		// downgrade exists for.
-		MixedPair: func(t *testing.T, seed int64, opts transport.Options, universe ids.Set) (conformance.Harness, conformance.Harness) {
-			addrs, err := tcp.FreeAddrs(universe.Members()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := tcp.New(tcp.Config{Addrs: addrs, Seed: seed, Opts: opts, WireVersion: 2})
-			cur := tcp.New(tcp.Config{Addrs: addrs, Seed: seed + 1, Opts: opts})
-			return conformance.Harness{Net: old, Settle: time.Sleep},
-				conformance.Harness{Net: cur, Settle: time.Sleep}
-		},
-		// Arbitrary version pinning (the v4↔v5 arm exercises the binary
-		// fast path against plain gob framing).
-		VersionPair: func(t *testing.T, seed int64, opts transport.Options, universe ids.Set, va, vb byte) (conformance.Harness, conformance.Harness) {
-			addrs, err := tcp.FreeAddrs(universe.Members()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a := tcp.New(tcp.Config{Addrs: addrs, Seed: seed, Opts: opts, WireVersion: va})
-			b := tcp.New(tcp.Config{Addrs: addrs, Seed: seed + 1, Opts: opts, WireVersion: vb})
-			return conformance.Harness{Net: a, Settle: time.Sleep},
-				conformance.Harness{Net: b, Settle: time.Sleep}
-		},
 	})
 }
 
@@ -124,10 +99,60 @@ func TestCrossProcessShape(t *testing.T) {
 	t.Fatal("delivery never resumed after receiver restart")
 }
 
+// TestCodecRefusalDropsOnlyThatMessage: a payload the codec refuses
+// is dropped alone — the messages queued around it still arrive over
+// the same connection, and Dropped counts exactly the one refusal.
+func TestCodecRefusalDropsOnlyThatMessage(t *testing.T) {
+	addrs, err := tcp.FreeAddrs(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := transport.Options{Capacity: 64, TickEvery: time.Millisecond}
+	a := tcp.New(tcp.Config{Addrs: addrs, Seed: 1, Opts: opts})
+	defer a.Close()
+	b := tcp.New(tcp.Config{Addrs: addrs, Seed: 2, Opts: opts})
+	defer b.Close()
+	if err := a.AddNode(1, nopHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	rx := &recordHandler{}
+	if err := b.AddNode(2, rx); err != nil {
+		t.Fatal(err)
+	}
+
+	type unsupported struct{ X int }
+	a.Send(1, 2, "good-1")
+	a.Send(1, 2, unsupported{X: 1})
+	a.Send(1, 2, "good-2")
+
+	deadline := time.Now().Add(10 * time.Second)
+	var got []any
+	for time.Now().Before(deadline) {
+		if !b.Inspect(2, func() { got = append([]any(nil), rx.got...) }) {
+			t.Fatal("inspect failed")
+		}
+		if len(got) >= 2 {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if len(got) != 2 || got[0] != "good-1" || got[1] != "good-2" {
+		t.Fatalf("received %v, want [good-1 good-2]", got)
+	}
+	if st := a.Stats(); st.Dropped != 1 {
+		t.Fatalf("Dropped = %d, want 1 (the refused message only)", st.Dropped)
+	}
+}
+
 type nopHandler struct{}
 
 func (nopHandler) Receive(ids.ID, any) {}
 func (nopHandler) Tick()               {}
+
+type recordHandler struct{ got []any }
+
+func (h *recordHandler) Receive(_ ids.ID, p any) { h.got = append(h.got, p) }
+func (h *recordHandler) Tick()                   {}
 
 type countHandler struct{ n int }
 

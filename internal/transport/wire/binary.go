@@ -1,51 +1,52 @@
-// Binary fast path (version 5): a hand-rolled length-delimited encoding
-// for the hot DATA/batch packet shape, eliminating per-message gob
-// reflection on the path that carries essentially all steady-state
-// bytes. A writer negotiated to version 5 encodes every DATA packet
-// whose payload types it knows (the closed set of types the stack sends
-// — envelopes, recSA/recMA broadcasts, vs replica exchanges, counter
-// gossip, regmem/smr commands and states) into a single frame flagged
-// with binFlag; everything else — control packets, unknown payload
-// types, encodings larger than MaxFrame — falls back to the continuous
-// gob stream, frame by frame, exactly as before. Binary frames are
-// self-contained (they never touch the gob stream state), so the two
-// codecs interleave freely on one connection.
+// The binary encoding: a hand-rolled length-delimited format over the
+// closed set of types the stack sends — datalink packets and their
+// envelopes, recSA/recMA broadcasts, vs replica exchanges, counter
+// gossip, regmem/smr commands and states, plus a few primitives (tests
+// and fault-injection garbage). Each message encodes on its own, with no
+// reflection and no state shared with the messages around it; a payload
+// outside the set fails with ErrUnsupportedPayload.
 //
 // Layout (big-endian fixed ints, unsigned LEB128 "uvarint" lengths and
 // counts, zigzag varints for signed ints):
 //
-//	msg    := from(zigzag) to(zigzag) kind(u8) session(8B) seq(u8) shape(u8) body
-//	shape  := 1 envelope | 2 raw anyVal | 3 batch
-//	batch  := count(uvarint) { itemTag(u8=1 env, 2 raw) body }*
-//	env    := flags(u8) [SA] [MA] [JoinResp] app(anyVal) [shards]
-//	anyVal := typeTag(u8) body
-//	map    := pres(uvarint: 0 = nil, n+1 = n entries) { key value }*
+//	msg     := from(zigzag) to(zigzag) kind(u8) rest
+//	rest    := anyVal                                   if kind = 0
+//	         | session(8B) seq(u8) (payload | batch)    otherwise
+//	payload := 1 env | 2 anyVal
+//	batch   := 3 count(uvarint) payload*
+//	env     := flags(u8) [SA] [MA] [JoinResp] app(anyVal) [shards]
+//	anyVal  := typeTag(u8) body
+//	map     := pres(uvarint: 0 = nil, n+1 = n entries) { key value }*
 //
-// Maps carry an explicit nil/empty distinction (the pres uvarint)
-// because gob preserves it and the vs layer keys behavior off it: a
-// coordinator's record with an assembled-but-empty round (Inputs
-// non-nil, zero entries) must not arrive as a nil map — a follower
-// treats nil Inputs as "no round to apply" and downgrades every
-// incremental adoption to a wholesale one. Slices intentionally do NOT
-// get the same treatment: gob itself collapses empty slices to nil, so
-// collapsing here keeps the two codecs observably identical.
+// Kind 0 marks a payload that is not a datalink packet; packet kinds
+// start at 1, so the byte doubles as the packet's Kind.
+//
+// Pointer fields and slices of an envelope (RecSA, RecMA, JoinResp,
+// ShardApps, a packet's Batch) carry explicit presence: a pointer to a
+// zero value — the explicit join denial &join.Response{} — arrives
+// non-nil, and an empty batch stays distinct from an unbatched packet.
+// Maps carry the same nil/empty distinction (the pres uvarint) because
+// the vs layer keys behavior off it: a coordinator's record with an
+// assembled-but-empty round (Inputs non-nil, zero entries) must not
+// arrive as a nil map — a follower treats nil Inputs as "no round to
+// apply" and turns every incremental adoption into a wholesale one.
+// Other slices collapse empty to nil.
 //
 // Every decoder length and count is validated against the remaining
 // buffer before any allocation, and anyVal recursion is depth-bounded,
 // so a corrupted or hostile frame cannot make the reader allocate or
 // recurse without bound (the fuzz corpus covers truncations, corrupt
-// headers and over-bound counts for this path too).
+// headers and over-bound counts).
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/counter"
+	"repro/internal/datalink"
 	"repro/internal/ids"
 	"repro/internal/join"
 	"repro/internal/label"
@@ -56,21 +57,12 @@ import (
 	"repro/internal/vs"
 )
 
-// binFlag marks a frame header as a self-contained binary fast-path
-// message (version 5). It shares the header's high bits with chunkFlag;
-// a version ≤ 4 reader treats either bit as an absurd frame length and
-// rejects the stream, which is why binary frames are only emitted to
-// peers that negotiated version 5.
-const binFlag = 1 << 30
-
-// errUnsupported aborts a binary encode attempt: the message carries a
-// payload type outside the closed hot-path set, so the writer falls
-// back to gob. Decoders never return it.
-var errUnsupported = errors.New("wire: payload type outside binary fast path")
-
 // maxAnyDepth bounds anyVal nesting on decode (a Batch of Batches of …
 // from a hostile frame must not recurse without bound).
 const maxAnyDepth = 24
+
+// kindNone is the kind byte of a payload that is not a datalink packet.
+const kindNone = 0
 
 // anyVal type tags.
 const (
@@ -92,7 +84,7 @@ const (
 	tagIDSet     = 15
 )
 
-// Packet shape discriminators.
+// Packet payload shapes.
 const (
 	shapeEnv   = 1
 	shapeRaw   = 2
@@ -110,45 +102,44 @@ const (
 
 // --- encoder ---
 
-// appendBinaryMsg appends the binary fast-path encoding of m to dst.
-// ok is false when m carries a payload outside the closed type set (the
-// caller falls back to gob; dst's extension is then garbage and must be
-// discarded via the returned slice's original length).
-func appendBinaryMsg(dst []byte, m Msg) (out []byte, ok bool) {
-	var err error
+// appendMsg appends the encoding of m to dst. On error the returned
+// slice's extension past dst is garbage and must be discarded.
+func appendMsg(dst []byte, m Msg) ([]byte, error) {
 	dst = appendZigzag(dst, int64(m.From))
 	dst = appendZigzag(dst, int64(m.To))
-	dst = append(dst, byte(m.Pkt.Kind))
-	dst = binary.BigEndian.AppendUint64(dst, m.Pkt.Session)
-	dst = append(dst, m.Pkt.Seq)
-	switch {
-	case m.Pkt.HasBatch:
-		dst = append(dst, shapeBatch)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Pkt.Batch)))
-		for _, item := range m.Pkt.Batch {
-			if item.HasEnv {
-				dst = append(dst, 1)
-				dst, err = appendEnvelope(dst, item.Env)
-			} else {
-				dst = append(dst, 2)
-				dst, err = appendAny(dst, item.Raw)
-			}
-			if err != nil {
-				return dst, false
-			}
-		}
-	case m.Pkt.HasEnv:
-		dst = append(dst, shapeEnv)
-		if dst, err = appendEnvelope(dst, m.Pkt.Env); err != nil {
-			return dst, false
-		}
-	default:
-		dst = append(dst, shapeRaw)
-		if dst, err = appendAny(dst, m.Pkt.Raw); err != nil {
-			return dst, false
+	pkt, ok := m.Payload.(datalink.Packet)
+	if !ok {
+		return appendAny(append(dst, kindNone), m.Payload)
+	}
+	if pkt.Kind <= kindNone || pkt.Kind > 0xff {
+		return dst, fmt.Errorf("%w: datalink packet kind %d", ErrUnsupportedPayload, pkt.Kind)
+	}
+	dst = append(dst, byte(pkt.Kind))
+	dst = binary.BigEndian.AppendUint64(dst, pkt.Session)
+	dst = append(dst, pkt.Seq)
+	if pkt.Batch == nil {
+		// Payload and Batch are mutually exclusive per the
+		// datalink.Packet contract: a receiver ignores Payload when
+		// Batch is set, so it is not carried either.
+		return appendPayload(dst, pkt.Payload)
+	}
+	dst = append(dst, shapeBatch)
+	dst = binary.AppendUvarint(dst, uint64(len(pkt.Batch)))
+	var err error
+	for _, p := range pkt.Batch {
+		if dst, err = appendPayload(dst, p); err != nil {
+			return dst, err
 		}
 	}
-	return dst, true
+	return dst, nil
+}
+
+// appendPayload encodes one packet payload: an envelope or a raw value.
+func appendPayload(dst []byte, p any) ([]byte, error) {
+	if env, ok := p.(core.Envelope); ok {
+		return appendEnvelope(append(dst, shapeEnv), env)
+	}
+	return appendAny(append(dst, shapeRaw), p)
 }
 
 func appendZigzag(dst []byte, v int64) []byte {
@@ -312,9 +303,8 @@ func appendRegDeltas(dst []byte, s regmem.State) []byte {
 	return appendZigzag(dst, int64(s.Depth))
 }
 
-// appendAny encodes one payload from the closed hot-path type set,
-// failing with errUnsupported for anything else (the caller falls back
-// to gob for the whole message).
+// appendAny encodes one value from the closed type set, failing with
+// ErrUnsupportedPayload for anything else.
 func appendAny(dst []byte, v any) (out []byte, err error) {
 	switch x := v.(type) {
 	case nil:
@@ -406,36 +396,36 @@ func appendAny(dst []byte, v any) (out []byte, err error) {
 	case ids.Set:
 		return appendSet(append(dst, tagIDSet), x), nil
 	default:
-		return dst, errUnsupported
+		return dst, fmt.Errorf("%w: %T", ErrUnsupportedPayload, v)
 	}
 }
 
-func appendEnvelope(dst []byte, e Envelope) (out []byte, err error) {
+func appendEnvelope(dst []byte, e core.Envelope) (out []byte, err error) {
 	var flags byte
-	if e.HasSA {
+	if e.RecSA != nil {
 		flags |= envHasSA
 	}
-	if e.HasMA {
+	if e.RecMA != nil {
 		flags |= envHasMA
 	}
 	if e.JoinReq {
 		flags |= envJoinReq
 	}
-	if e.HasJoinResp {
+	if e.JoinResp != nil {
 		flags |= envHasJoinResp
 	}
-	if e.HasShards {
+	if e.ShardApps != nil {
 		flags |= envHasShards
 	}
 	dst = append(dst, flags)
-	if e.HasSA {
-		dst = appendSA(dst, e.SA)
+	if e.RecSA != nil {
+		dst = appendSA(dst, *e.RecSA)
 	}
-	if e.HasMA {
-		dst = appendBool(dst, e.MA.NoMaj)
-		dst = appendBool(dst, e.MA.NeedReconf)
+	if e.RecMA != nil {
+		dst = appendBool(dst, e.RecMA.NoMaj)
+		dst = appendBool(dst, e.RecMA.NeedReconf)
 	}
-	if e.HasJoinResp {
+	if e.JoinResp != nil {
 		dst = appendBool(dst, e.JoinResp.Pass)
 		if dst, err = appendAny(dst, e.JoinResp.State); err != nil {
 			return dst, err
@@ -444,9 +434,9 @@ func appendEnvelope(dst []byte, e Envelope) (out []byte, err error) {
 	if dst, err = appendAny(dst, e.App); err != nil {
 		return dst, err
 	}
-	if e.HasShards {
-		dst = binary.AppendUvarint(dst, uint64(len(e.Shards)))
-		for _, sa := range e.Shards {
+	if e.ShardApps != nil {
+		dst = binary.AppendUvarint(dst, uint64(len(e.ShardApps)))
+		for _, sa := range e.ShardApps {
 			dst = appendZigzag(dst, int64(sa.Shard))
 			if dst, err = appendAny(dst, sa.App); err != nil {
 				return dst, err
@@ -777,75 +767,74 @@ func (d *bdec) anyVal(depth int) any {
 	}
 }
 
-func (d *bdec) envelope(depth int) Envelope {
-	var e Envelope
+func (d *bdec) envelope(depth int) core.Envelope {
+	var e core.Envelope
 	flags := d.u8()
 	if flags&envHasSA != 0 {
-		e.HasSA, e.SA = true, d.saMsg()
+		sa := d.saMsg()
+		e.RecSA = &sa
 	}
 	if flags&envHasMA != 0 {
-		e.HasMA = true
-		e.MA = recma.Message{NoMaj: d.bool(), NeedReconf: d.bool()}
+		e.RecMA = &recma.Message{NoMaj: d.bool(), NeedReconf: d.bool()}
 	}
 	e.JoinReq = flags&envJoinReq != 0
 	if flags&envHasJoinResp != 0 {
-		e.HasJoinResp = true
-		e.JoinResp = join.Response{Pass: d.bool(), State: d.anyVal(depth)}
+		e.JoinResp = &join.Response{Pass: d.bool(), State: d.anyVal(depth)}
 	}
 	e.App = d.anyVal(depth)
 	if flags&envHasShards != 0 {
-		e.HasShards = true
-		if n := d.count(2); n > 0 {
-			e.Shards = make([]ShardApp, 0, n)
-			for i := 0; i < n; i++ {
-				e.Shards = append(e.Shards, ShardApp{Shard: int(d.zigzag()), App: d.anyVal(depth)})
-			}
+		n := d.count(2)
+		e.ShardApps = make([]core.ShardApp, 0, n)
+		for i := 0; i < n; i++ {
+			e.ShardApps = append(e.ShardApps, core.ShardApp{Shard: int(d.zigzag()), App: d.anyVal(depth)})
 		}
 	}
 	return e
 }
 
-// decodeBinaryMsg decodes one binary fast-path frame payload.
-func decodeBinaryMsg(b []byte) (Msg, error) {
-	d := &bdec{b: b}
-	m := Msg{
-		From:   ids.ID(d.zigzag()),
-		To:     ids.ID(d.zigzag()),
-		HasPkt: true,
-	}
-	m.Pkt.Kind = int(d.u8())
-	m.Pkt.Session = d.u64()
-	m.Pkt.Seq = d.u8()
-	switch shape := d.u8(); shape {
+// payload decodes one packet payload whose shape byte was already read.
+func (d *bdec) payload(shape byte) any {
+	switch shape {
 	case shapeEnv:
-		m.Pkt.HasEnv = true
-		m.Pkt.Env = d.envelope(0)
+		return d.envelope(0)
 	case shapeRaw:
-		m.Pkt.Raw = d.anyVal(0)
-	case shapeBatch:
-		m.Pkt.HasBatch = true
-		n := d.count(1)
-		if d.err == nil && n > MaxWireBatch {
-			d.fail("batch of %d payloads exceeds MaxWireBatch %d", n, MaxWireBatch)
-		}
-		if n > 0 && d.err == nil {
-			m.Pkt.Batch = make([]BatchItem, 0, n)
-			for i := 0; i < n; i++ {
-				switch itemTag := d.u8(); itemTag {
-				case 1:
-					m.Pkt.Batch = append(m.Pkt.Batch, BatchItem{HasEnv: true, Env: d.envelope(0)})
-				case 2:
-					m.Pkt.Batch = append(m.Pkt.Batch, BatchItem{Raw: d.anyVal(0)})
-				default:
-					d.fail("unknown batch item tag %d", itemTag)
-				}
-				if d.err != nil {
-					break
-				}
-			}
-		}
+		return d.anyVal(0)
 	default:
-		d.fail("unknown packet shape %d", shape)
+		d.fail("unknown payload shape %d", shape)
+		return nil
+	}
+}
+
+// packet decodes the rest of a datalink packet of the given kind.
+func (d *bdec) packet(kind datalink.Kind) datalink.Packet {
+	pkt := datalink.Packet{Kind: kind, Session: d.u64(), Seq: d.u8()}
+	shape := d.u8()
+	if shape != shapeBatch {
+		pkt.Payload = d.payload(shape)
+		return pkt
+	}
+	n := d.count(1)
+	if d.err == nil && n > MaxWireBatch {
+		d.fail("batch of %d payloads exceeds MaxWireBatch %d", n, MaxWireBatch)
+	}
+	if d.err != nil {
+		return pkt
+	}
+	pkt.Batch = make([]any, 0, n)
+	for i := 0; i < n && d.err == nil; i++ {
+		pkt.Batch = append(pkt.Batch, d.payload(d.u8()))
+	}
+	return pkt
+}
+
+// decodeMsg decodes one message's encoding.
+func decodeMsg(b []byte) (Msg, error) {
+	d := &bdec{b: b}
+	m := Msg{From: ids.ID(d.zigzag()), To: ids.ID(d.zigzag())}
+	if kind := d.u8(); kind == kindNone {
+		m.Payload = d.anyVal(0)
+	} else {
+		m.Payload = d.packet(datalink.Kind(kind))
 	}
 	if d.err != nil {
 		return Msg{}, d.err
@@ -856,26 +845,12 @@ func decodeBinaryMsg(b []byte) (Msg, error) {
 	return m, nil
 }
 
-// CodecSizes reports the steady-state encoded sizes of m under the two
-// codecs a version-5 stream can carry: the binary fast path and gob
-// framing (the codec lever of experiment E13). The gob size is measured
-// on the second encoding of the message through one encoder, so the
-// one-time type descriptors a long-lived stream amortizes away are
-// excluded. binOK is false when m falls outside the binary codec's
-// closed hot set (the writer would fall back to gob), leaving binSize 0.
-func CodecSizes(m Msg) (binSize, gobSize int, binOK bool) {
-	b, ok := appendBinaryMsg(nil, m)
-	if ok {
-		binSize = len(b)
+// EncodedSize reports the size of m's encoding, without the frame
+// header (the codec lever of experiment E13).
+func EncodedSize(m Msg) (int, error) {
+	b, err := appendMsg(nil, m)
+	if err != nil {
+		return 0, err
 	}
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(m); err != nil {
-		return binSize, 0, ok
-	}
-	first := buf.Len()
-	if err := enc.Encode(m); err != nil {
-		return binSize, 0, ok
-	}
-	return binSize, buf.Len() - first, ok
+	return len(b), nil
 }

@@ -2,8 +2,7 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,54 +20,12 @@ import (
 	"repro/internal/vs"
 )
 
-// outsideType is gob-registered but outside the binary fast path's
-// closed type set, forcing the per-message gob fallback.
+// outsideType lies outside the codec's closed type set.
 type outsideType struct{ X int }
 
-func init() { gob.Register(outsideType{}) }
-
-// encodeOne writes one message at the given version and returns the
-// stream minus the preamble.
-func encodeOne(t *testing.T, version byte, m Msg) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteMsg(m); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()[preambleLen:]
-}
-
-// firstHeader returns the first frame header of a preamble-stripped
-// stream.
-func firstHeader(t *testing.T, b []byte) uint32 {
-	t.Helper()
-	if len(b) < 4 {
-		t.Fatalf("stream of %d bytes has no frame header", len(b))
-	}
-	return binary.BigEndian.Uint32(b[:4])
-}
-
-// decodeOne reads one message back from a full version-5 stream.
-func decodeOne(t *testing.T, stream []byte) Msg {
-	t.Helper()
-	r, err := NewReader(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.ReadMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// fullStream prepends a version-5 preamble-carrying writer encoding of
-// one message.
-func fullStream(t *testing.T, m Msg) []byte {
+// encodeOne writes one message and returns the stream minus the
+// preamble.
+func encodeOne(t *testing.T, m Msg) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -78,14 +35,14 @@ func fullStream(t *testing.T, m Msg) []byte {
 	if err := w.WriteMsg(m); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes()[preambleLen:]
 }
 
-// hotShapes enumerates representative DATA/batch payload shapes of
-// every type the binary fast path encodes — the shapes the stack
-// actually sends plus edge cases (nil payload, empty batch, zero-value
-// structs, multi-key maps).
-func hotShapes() map[string]datalink.Packet {
+// hotShapes enumerates representative payloads of every type the codec
+// encodes — the shapes the stack actually sends, control packets, raw
+// values outside any packet, and edge cases (nil payload, empty batch,
+// zero-value structs, multi-key maps, a shard-0 tag).
+func hotShapes() map[string]any {
 	conf := ids.NewSet(1, 2, 3)
 	ctr := counter.Counter{
 		Lbl:  label.Label{Creator: 3, Sting: 2, Antistings: []int{0, 1, 5}},
@@ -143,25 +100,35 @@ func hotShapes() map[string]datalink.Packet {
 			{Shard: 2, App: map[ids.ID]any{4: "s", 9: 42}},
 		},
 	}
-	return map[string]datalink.Packet{
-		"empty-token":  {Kind: datalink.KindData, Session: 7, Seq: 3},
-		"full-env":     {Kind: datalink.KindData, Session: 99, Seq: 1, Payload: fullEnv},
-		"zero-ptrs":    {Kind: datalink.KindData, Session: 1, Payload: core.Envelope{RecMA: &recma.Message{}, JoinResp: &join.Response{}}},
-		"raw-string":   {Kind: datalink.KindData, Session: 2, Seq: 9, Payload: "garbage"},
-		"raw-int":      {Kind: datalink.KindData, Session: 2, Payload: -41},
-		"raw-bool":     {Kind: datalink.KindData, Session: 2, Payload: true},
-		"raw-set":      {Kind: datalink.KindData, Session: 2, Payload: ids.NewSet(3, 1, 2)},
-		"raw-map-ss":   {Kind: datalink.KindData, Session: 2, Payload: map[string]string{"k1": "v1", "k0": "v0"}},
-		"empty-batch":  {Kind: datalink.KindData, Session: 5, Seq: 2, Batch: []any{}},
-		"mixed-batch":  {Kind: datalink.KindData, Session: 5, Seq: 2, Batch: []any{fullEnv, "raw", core.Envelope{}, nil}},
-		"state-batch":  {Kind: datalink.KindData, Session: 5, Seq: 4, Batch: []any{core.Envelope{App: regmem.State{}}, core.Envelope{App: vs.Payload{}}}},
-		"counter-only": {Kind: datalink.KindData, Session: 6, Payload: core.Envelope{App: vs.Payload{Counter: counter.Message{}}}},
-		// Empty non-nil maps next to nil ones: gob keeps the
-		// distinction and vs.follow keys incremental apply off
-		// Inputs != nil, so the codec must too (regression: the
-		// original encoding collapsed empty maps to nil, forcing a
-		// wholesale adoption + snapshot every round).
-		"nil-vs-empty-maps": {Kind: datalink.KindData, Session: 8, Seq: 1, Batch: []any{
+	return map[string]any{
+		"clean":            datalink.Packet{Kind: datalink.KindClean, Session: 3},
+		"clean-ack":        datalink.Packet{Kind: datalink.KindCleanAck, Session: 3},
+		"ack":              datalink.Packet{Kind: datalink.KindAck, Session: 3, Seq: 2},
+		"top-level-string": "not a packet at all",
+		"top-level-nil":    nil,
+		"top-level-map":    map[ids.ID]any{1: regmem.WriteCmd{Name: "x", Value: "1", Writer: 1, Seq: 1}},
+		"shard-zero-tag": datalink.Packet{Kind: datalink.KindData, Session: 4, Payload: core.Envelope{
+			ShardApps: []core.ShardApp{{Shard: 0, App: "s0"}, {Shard: 3, App: "s3"}},
+		}},
+		"empty-shards": datalink.Packet{Kind: datalink.KindData, Session: 4, Payload: core.Envelope{ShardApps: []core.ShardApp{}}},
+		"empty-token":  datalink.Packet{Kind: datalink.KindData, Session: 7, Seq: 3},
+		"full-env":     datalink.Packet{Kind: datalink.KindData, Session: 99, Seq: 1, Payload: fullEnv},
+		"zero-ptrs":    datalink.Packet{Kind: datalink.KindData, Session: 1, Payload: core.Envelope{RecMA: &recma.Message{}, JoinResp: &join.Response{}}},
+		"raw-string":   datalink.Packet{Kind: datalink.KindData, Session: 2, Seq: 9, Payload: "garbage"},
+		"raw-int":      datalink.Packet{Kind: datalink.KindData, Session: 2, Payload: -41},
+		"raw-bool":     datalink.Packet{Kind: datalink.KindData, Session: 2, Payload: true},
+		"raw-set":      datalink.Packet{Kind: datalink.KindData, Session: 2, Payload: ids.NewSet(3, 1, 2)},
+		"raw-map-ss":   datalink.Packet{Kind: datalink.KindData, Session: 2, Payload: map[string]string{"k1": "v1", "k0": "v0"}},
+		"empty-batch":  datalink.Packet{Kind: datalink.KindData, Session: 5, Seq: 2, Batch: []any{}},
+		"mixed-batch":  datalink.Packet{Kind: datalink.KindData, Session: 5, Seq: 2, Batch: []any{fullEnv, "raw", core.Envelope{}, nil}},
+		"state-batch":  datalink.Packet{Kind: datalink.KindData, Session: 5, Seq: 4, Batch: []any{core.Envelope{App: regmem.State{}}, core.Envelope{App: vs.Payload{}}}},
+		"counter-only": datalink.Packet{Kind: datalink.KindData, Session: 6, Payload: core.Envelope{App: vs.Payload{Counter: counter.Message{}}}},
+		// Empty non-nil maps next to nil ones: vs.follow keys
+		// incremental apply off Inputs != nil, so the codec keeps the
+		// distinction (regression: an earlier encoding collapsed empty
+		// maps to nil, forcing a wholesale adoption + snapshot every
+		// round).
+		"nil-vs-empty-maps": datalink.Packet{Kind: datalink.KindData, Session: 8, Seq: 1, Batch: []any{
 			core.Envelope{App: vs.Payload{Replica: &vs.Replica{
 				Rnd:    2,
 				State:  regmem.State{Base: map[string]string{}},
@@ -175,28 +142,13 @@ func hotShapes() map[string]datalink.Packet {
 	}
 }
 
-// TestBinaryGobEquivalence: every hot DATA/batch shape decodes to the
-// same message through the version-5 binary fast path as through the
-// version-4 gob framing, and the binary path is actually taken.
-func TestBinaryGobEquivalence(t *testing.T) {
-	for name, pkt := range hotShapes() {
+// TestBinaryRoundTrip: every payload shape decodes back deep-equal to
+// the input.
+func TestBinaryRoundTrip(t *testing.T) {
+	for name, payload := range hotShapes() {
 		t.Run(name, func(t *testing.T) {
-			in := NewMsg(1, 2, pkt)
-			v5 := encodeOne(t, 5, in)
-			if hdr := firstHeader(t, v5); hdr&binFlag == 0 {
-				t.Fatalf("DATA packet missed the binary fast path (header %#x)", hdr)
-			}
-
-			var pre [preambleLen]byte
-			copy(pre[:], magic[:])
-			pre[len(magic)] = 4
-			binOut := decodeOne(t, fullStream(t, in))
-			gobOut := decodeOne(t, append(pre[:], encodeOne(t, 4, in)...))
-			if !reflect.DeepEqual(binOut, gobOut) {
-				t.Fatalf("binary and gob decode diverge:\nbin=%#v\ngob=%#v", binOut, gobOut)
-			}
-			if got := binOut.Payload(); !reflect.DeepEqual(got, any(pkt)) {
-				t.Fatalf("binary round trip mismatch:\n in=%#v\nout=%#v", pkt, got)
+			if got := roundTrip(t, payload)[0]; !reflect.DeepEqual(got, payload) {
+				t.Fatalf("round trip mismatch:\n in=%#v\nout=%#v", payload, got)
 			}
 		})
 	}
@@ -204,9 +156,9 @@ func TestBinaryGobEquivalence(t *testing.T) {
 
 // TestBinaryPreservesEmptyInputs: an assembled-but-empty round ships
 // as Replica.Inputs = map[ids.ID]any{}, and followers treat a nil
-// Inputs as "no round to apply" (vs.Manager.follow). The binary path
-// must therefore hand back an empty non-nil map, and leave genuinely
-// nil maps nil.
+// Inputs as "no round to apply" (vs.Manager.follow). The codec must
+// therefore hand back an empty non-nil map, and leave genuinely nil
+// maps nil.
 func TestBinaryPreservesEmptyInputs(t *testing.T) {
 	empty := &vs.Replica{Rnd: 2, State: regmem.State{Base: map[string]string{}}, Inputs: map[ids.ID]any{}}
 	null := &vs.Replica{Rnd: 3}
@@ -214,11 +166,7 @@ func TestBinaryPreservesEmptyInputs(t *testing.T) {
 		core.Envelope{App: vs.Payload{Replica: empty}},
 		core.Envelope{App: vs.Payload{Replica: null}},
 	}}
-	in := NewMsg(1, 2, pkt)
-	if hdr := firstHeader(t, encodeOne(t, 5, in)); hdr&binFlag == 0 {
-		t.Fatalf("packet missed the binary fast path (header %#x)", hdr)
-	}
-	batch := decodeOne(t, fullStream(t, in)).Payload().(datalink.Packet).Batch
+	batch := roundTrip(t, pkt)[0].(datalink.Packet).Batch
 	got := batch[0].(core.Envelope).App.(vs.Payload).Replica
 	if got.Inputs == nil || len(got.Inputs) != 0 {
 		t.Fatalf("empty Inputs round-tripped as %#v, want empty non-nil map", got.Inputs)
@@ -232,125 +180,59 @@ func TestBinaryPreservesEmptyInputs(t *testing.T) {
 	}
 }
 
-// TestBinaryDeterministicBytes: the binary encoding of a message with
+// TestBinaryDeterministicBytes: the encoding of a message with
 // multi-key maps is byte-identical across encodes (maps are sorted), so
 // bytes-per-op columns in experiments are reproducible.
 func TestBinaryDeterministicBytes(t *testing.T) {
-	pkt := hotShapes()["full-env"]
-	in := NewMsg(1, 2, pkt)
-	first := encodeOne(t, 5, in)
+	in := NewMsg(1, 2, hotShapes()["full-env"])
+	first := encodeOne(t, in)
 	for i := 0; i < 8; i++ {
-		if again := encodeOne(t, 5, in); !bytes.Equal(first, again) {
+		if again := encodeOne(t, in); !bytes.Equal(first, again) {
 			t.Fatalf("encode %d diverged from first encode", i)
 		}
 	}
 }
 
-// TestBinaryFallbackToGob: payload types outside the closed hot-path
-// set, and non-DATA packets, fall back to the gob stream on a
-// version-5 connection and still round-trip.
-func TestBinaryFallbackToGob(t *testing.T) {
+// TestUnsupportedPayloadRefused: a payload type outside the closed set,
+// wherever it sits in the message, fails the encode with
+// ErrUnsupportedPayload, as does a packet kind the kind byte cannot
+// carry.
+func TestUnsupportedPayloadRefused(t *testing.T) {
 	cases := map[string]any{
+		"outside-raw":    outsideType{X: 7},
 		"outside-type":   datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: outsideType{X: 7}},
 		"outside-in-env": datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: core.Envelope{App: outsideType{X: 8}}},
 		"outside-batch":  datalink.Packet{Kind: datalink.KindData, Session: 3, Batch: []any{core.Envelope{}, outsideType{X: 9}}},
-		"clean":          datalink.Packet{Kind: datalink.KindClean, Session: 3},
-		"clean-ack":      datalink.Packet{Kind: datalink.KindCleanAck, Session: 3},
-		"ack":            datalink.Packet{Kind: datalink.KindAck, Session: 3, Seq: 2},
-		"raw-msg":        "not a packet at all",
+		"outside-shard":  core.Envelope{ShardApps: []core.ShardApp{{Shard: 1, App: outsideType{}}}},
+		"kind-zero":      datalink.Packet{Session: 3},
+		"kind-too-large": datalink.Packet{Kind: 256, Session: 3},
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
-			in := NewMsg(1, 2, payload)
-			stream := encodeOne(t, 5, in)
-			if hdr := firstHeader(t, stream); hdr&binFlag != 0 {
-				t.Fatalf("%s took the binary path (header %#x)", name, hdr)
-			}
-			got := decodeOne(t, fullStream(t, in)).Payload()
-			if !reflect.DeepEqual(got, payload) {
-				t.Fatalf("gob fallback round trip mismatch:\n in=%#v\nout=%#v", payload, got)
+			if _, err := appendMsg(nil, NewMsg(1, 2, payload)); !errors.Is(err, ErrUnsupportedPayload) {
+				t.Fatalf("encode of %#v = %v, want ErrUnsupportedPayload", payload, err)
 			}
 		})
 	}
 }
 
-// TestBinaryGobInterleave: binary DATA frames, gob control frames, and
-// a chunked oversize state transfer share one connection; the reader
-// switches codecs at every message boundary without losing gob stream
-// state.
-func TestBinaryGobInterleave(t *testing.T) {
-	big := strings.Repeat("s", MaxFrame+MaxFrame/2) // forces chunked gob transfer
-	payloads := []any{
-		datalink.Packet{Kind: datalink.KindData, Session: 1, Seq: 1, Payload: core.Envelope{App: "warm"}},
-		datalink.Packet{Kind: datalink.KindClean, Session: 2},
-		datalink.Packet{Kind: datalink.KindData, Session: 2, Seq: 2, Batch: []any{core.Envelope{App: 1}, core.Envelope{App: 2}}},
-		datalink.Packet{Kind: datalink.KindData, Session: 2, Seq: 3, Payload: core.Envelope{App: big}},
-		datalink.Packet{Kind: datalink.KindAck, Session: 2, Seq: 3},
-		datalink.Packet{Kind: datalink.KindData, Session: 2, Seq: 4, Payload: core.Envelope{App: "cool"}},
-	}
-	got := roundTrip(t, payloads...)
-	for i := range payloads {
-		if !reflect.DeepEqual(got[i], payloads[i]) {
-			t.Fatalf("message %d mismatch:\n in=%#v\nout=%#v", i, payloads[i], got[i])
-		}
-	}
-}
-
-// TestBinaryRejectedBelowV5: a binary frame appearing on a stream whose
-// preamble negotiated a version below 5 is rejected — old readers never
-// see fast-path frames from a correct writer, so one arriving means the
-// stream is corrupt.
-func TestBinaryRejectedBelowV5(t *testing.T) {
-	in := NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 7})
-	stream := fullStream(t, in)
-	if hdr := firstHeader(t, stream[preambleLen:]); hdr&binFlag == 0 {
-		t.Fatalf("expected a binary frame (header %#x)", hdr)
-	}
-	stream[len(magic)] = 4 // rewrite the preamble version
-	r, err := NewReader(bytes.NewReader(stream))
+// TestBinaryTruncationAndCorruptionRejected: every prefix of a valid
+// message encoding fails to decode cleanly (no silent partial
+// messages), and absurd counts are rejected before allocation.
+func TestBinaryTruncationAndCorruptionRejected(t *testing.T) {
+	b, err := appendMsg(nil, NewMsg(1, 2, hotShapes()["full-env"]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadMsg(); err == nil || !strings.Contains(err.Error(), "binary frame") {
-		t.Fatalf("binary frame on v4 stream not rejected: %v", err)
-	}
-}
-
-// TestBinaryOversizeFallsBack: a DATA message whose binary encoding
-// exceeds MaxFrame leaves the fast path and travels as a (possibly
-// chunked) gob transfer.
-func TestBinaryOversizeFallsBack(t *testing.T) {
-	big := strings.Repeat("b", MaxFrame+1)
-	in := NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 9, Payload: core.Envelope{App: big}})
-	stream := encodeOne(t, 5, in)
-	if hdr := firstHeader(t, stream); hdr&binFlag != 0 {
-		t.Fatalf("oversize message took the binary path (header %#x)", hdr)
-	}
-	got := decodeOne(t, fullStream(t, in)).Payload().(datalink.Packet)
-	env := got.Payload.(core.Envelope)
-	if env.App != big {
-		t.Fatalf("oversize fallback lost the payload (%d bytes back)", len(env.App.(string)))
-	}
-}
-
-// TestBinaryTruncationAndCorruptionRejected: every prefix of a valid
-// binary frame payload fails to decode cleanly (no silent partial
-// messages), and absurd counts are rejected before allocation.
-func TestBinaryTruncationAndCorruptionRejected(t *testing.T) {
-	pkt := hotShapes()["full-env"]
-	b, ok := appendBinaryMsg(nil, NewMsg(1, 2, pkt))
-	if !ok {
-		t.Fatal("full-env should be binary-encodable")
-	}
-	if _, err := decodeBinaryMsg(b); err != nil {
+	if _, err := decodeMsg(b); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 	for n := 0; n < len(b); n++ {
-		if _, err := decodeBinaryMsg(b[:n]); err == nil {
+		if _, err := decodeMsg(b[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded cleanly", n, len(b))
 		}
 	}
-	if _, err := decodeBinaryMsg(append(append([]byte(nil), b...), 0)); err == nil {
+	if _, err := decodeMsg(append(append([]byte(nil), b...), 0)); err == nil {
 		t.Fatal("trailing byte decoded cleanly")
 	}
 
@@ -364,7 +246,17 @@ func TestBinaryTruncationAndCorruptionRejected(t *testing.T) {
 		shapeBatch,                   // batch shape
 		0xff, 0xff, 0xff, 0xff, 0x7f, // uvarint count ≈ 34 G
 	}
-	if _, err := decodeBinaryMsg(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := decodeMsg(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("absurd batch count not rejected: %v", err)
+	}
+
+	// Nesting past maxAnyDepth is refused, not recursed into.
+	deep := []byte{2, 4, kindNone}
+	for i := 0; i <= maxAnyDepth; i++ {
+		deep = append(deep, tagSMRBatch, 1)
+	}
+	deep = append(deep, tagNil)
+	if _, err := decodeMsg(deep); err == nil || !strings.Contains(err.Error(), "nesting") {
+		t.Fatalf("over-deep nesting not rejected: %v", err)
 	}
 }

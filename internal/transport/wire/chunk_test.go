@@ -3,12 +3,19 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datalink"
+	"repro/internal/join"
+	"repro/internal/regmem"
 )
 
-// chunkPreamble returns a version-4 stream preamble.
+// chunkPreamble returns a stream preamble.
 func chunkPreamble() []byte {
 	var pre [preambleLen]byte
 	copy(pre[:], magic[:])
@@ -40,8 +47,8 @@ func TestChunkedTransferRoundTrip(t *testing.T) {
 	if w.Frames() < 2 {
 		t.Fatalf("oversize transfer used %d frames", w.Frames())
 	}
-	// A plain message after the chunked one proves the gob stream and
-	// the frame layer stay in sync across the transfer.
+	// A plain message after the chunked one proves the frame layer
+	// stays in sync across the transfer.
 	if err := w.WriteMsg(NewMsg(1, 2, "after")); err != nil {
 		t.Fatal(err)
 	}
@@ -54,47 +61,44 @@ func TestChunkedTransferRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("chunked message did not decode: %v", err)
 	}
-	if got, _ := m.Payload().(string); got != payload {
+	if got, _ := m.Payload.(string); got != payload {
 		t.Fatalf("chunked message corrupted (len %d want %d)", len(got), len(payload))
 	}
 	m, err = r.ReadMsg()
 	if err != nil {
 		t.Fatalf("message after chunked transfer: %v", err)
 	}
-	if got, _ := m.Payload().(string); got != "after" {
+	if got, _ := m.Payload.(string); got != "after" {
 		t.Fatalf("follow-up message = %q", got)
 	}
 }
 
-func TestLegacyWriterSpansWithoutChunkFrames(t *testing.T) {
-	payload := strings.Repeat("s", MaxFrame+1)
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, 3)
-	if err != nil {
-		t.Fatal(err)
+// TestChunkedPacketRoundTrip: a DATA packet whose encoding exceeds
+// MaxFrame travels chunked between ordinary data and control messages
+// on one stream, and every message decodes back deep-equal.
+func TestChunkedPacketRoundTrip(t *testing.T) {
+	big := regmem.State{Base: map[string]string{}}
+	for i := 0; len(big.Base)*64 < MaxFrame+MaxFrame/2; i++ {
+		big.Base[fmt.Sprintf("r%06d", i)] = strings.Repeat("v", 56)
 	}
-	if err := w.WriteMsg(NewMsg(1, 2, payload)); err != nil {
-		t.Fatal(err)
+	payloads := []any{
+		datalink.Packet{Kind: datalink.KindData, Session: 1, Seq: 1, Payload: core.Envelope{App: "warm"}},
+		datalink.Packet{Kind: datalink.KindClean, Session: 2},
+		datalink.Packet{Kind: datalink.KindData, Session: 2, Seq: 2, Batch: []any{core.Envelope{App: 1}, core.Envelope{App: 2}}},
+		datalink.Packet{Kind: datalink.KindData, Session: 2, Seq: 3, Payload: core.Envelope{
+			JoinResp: &join.Response{Pass: true, State: big},
+		}},
+		datalink.Packet{Kind: datalink.KindAck, Session: 2, Seq: 3},
+		datalink.Packet{Kind: datalink.KindData, Session: 2, Seq: 4, Payload: core.Envelope{App: "cool"}},
 	}
-	// No frame header carries the chunk flag.
-	b := buf.Bytes()[preambleLen:]
-	for len(b) >= 4 {
-		n := binary.BigEndian.Uint32(b[:4])
-		if n&chunkFlag != 0 {
-			t.Fatal("legacy writer emitted a chunk frame")
+	if n, err := EncodedSize(NewMsg(1, 2, payloads[3])); err != nil || n <= MaxFrame {
+		t.Fatalf("state packet encodes to %d bytes (%v), want > MaxFrame", n, err)
+	}
+	got := roundTrip(t, payloads...)
+	for i := range payloads {
+		if !reflect.DeepEqual(got[i], payloads[i]) {
+			t.Fatalf("message %d mismatch", i)
 		}
-		b = b[4+int(n):]
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.ReadMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := m.Payload().(string); got != payload {
-		t.Fatal("legacy spanned message corrupted")
 	}
 }
 

@@ -7,96 +7,135 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datalink"
+	"repro/internal/ids"
 	"repro/internal/recma"
+	"repro/internal/regmem"
+	"repro/internal/vs"
 )
 
-// fuzzSeedStream builds a well-formed stream at the given written
-// version carrying representative traffic: a batched DATA packet (with
-// envelopes and raw payloads), a legacy single-payload envelope packet,
-// control packets, and a raw value.
-func fuzzSeedStream(tb testing.TB, version byte) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, version)
-	if err != nil {
-		tb.Fatal(err)
-	}
+// fuzzSeedPayloads is representative traffic: a batched DATA packet
+// (envelopes and raw payloads), a single-payload envelope packet, a
+// replica exchange, every control packet, and raw values outside any
+// packet.
+func fuzzSeedPayloads() []any {
 	env := core.Envelope{
 		RecMA:     &recma.Message{NoMaj: true},
 		App:       "app",
 		ShardApps: []core.ShardApp{{Shard: 1, App: "s1"}},
 	}
-	payloads := []any{
-		datalink.Packet{Kind: datalink.KindData, Session: 9, Seq: 3,
-			Batch: []any{env, "raw", env}},
+	rep := vs.Payload{Replica: &vs.Replica{
+		Rnd:    4,
+		State:  regmem.State{Base: map[string]string{"a": "1"}, Delta: &regmem.Delta{Name: "b", Value: "2"}, Depth: 1},
+		Inputs: map[ids.ID]any{1: regmem.WriteCmd{Name: "a", Value: "3", Writer: 1, Seq: 1}},
+	}}
+	return []any{
+		datalink.Packet{Kind: datalink.KindData, Session: 9, Seq: 3, Batch: []any{env, "raw", env}},
 		datalink.Packet{Kind: datalink.KindData, Session: 9, Seq: 4, Payload: env},
+		datalink.Packet{Kind: datalink.KindData, Session: 9, Seq: 5, Payload: core.Envelope{App: rep}},
 		datalink.Packet{Kind: datalink.KindClean, Session: 10},
+		datalink.Packet{Kind: datalink.KindCleanAck, Session: 10},
 		datalink.Packet{Kind: datalink.KindAck, Session: 9, Seq: 4},
 		"garbage",
+		map[string]int64{"acct": -3},
 	}
-	for _, p := range payloads {
+}
+
+// fuzzSeedStream builds a well-formed stream carrying fuzzSeedPayloads,
+// and the stream offset at which each message ends.
+func fuzzSeedStream(tb testing.TB) (stream []byte, ends []int) {
+	tb.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range fuzzSeedPayloads() {
 		if err := w.WriteMsg(NewMsg(1, 2, p)); err != nil {
 			tb.Fatal(err)
 		}
+		ends = append(ends, buf.Len())
 	}
-	return buf.Bytes()
+	return buf.Bytes(), ends
+}
+
+// plainFrame frames one message encoding by hand.
+func plainFrame(b []byte) []byte {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
+	return append(hdr[:], b...)
 }
 
 // FuzzReadMsg is the decoder-hardening fuzz target: for arbitrary input
 // bytes the reader must return errors — never panic, hang, or allocate
-// past its declared bounds (MaxFrame per frame, MaxWireBatch per batch;
-// gob's own message sanity limits cover the rest). The seed corpus
-// (f.Add plus the checked-in testdata corpus, which plain `go test`
-// executes as a regression suite) covers well-formed v1..v5 streams
-// (version 5 mixes binary fast-path and gob frames), truncations at
-// every structural boundary, corrupted preambles, oversize frame
-// headers, absurd batch counts, and corrupt binary-frame internals
-// (bad shapes, unknown type tags, over-bound counts, both flag bits
-// set).
+// past its declared bounds (MaxFrame per frame, MaxMessage per chunked
+// transfer, MaxWireBatch per batch). The seed corpus (f.Add plus the
+// checked-in testdata corpus, which plain `go test` executes as a
+// regression suite) covers a well-formed stream of data and control
+// messages, truncations at and between message boundaries, corrupted
+// preambles including every earlier version, oversize and empty frame
+// headers, chunked transfers (valid, oversize, corrupt, out of
+// sequence, truncated), and corrupt message internals (bad shapes,
+// unknown type tags, over-bound counts, over-deep nesting). The
+// testdata files from earlier wire versions stay in the corpus as
+// inputs the reader must reject without panicking.
 func FuzzReadMsg(f *testing.F) {
-	for _, version := range []byte{1, 2, 3, 4, 5} {
-		stream := fuzzSeedStream(f, version)
-		f.Add(stream)
-		// Truncations: inside the preamble, inside a frame header,
-		// inside a frame payload, inside the gob stream.
-		for _, cut := range []int{3, preambleLen, preambleLen + 2, preambleLen + 6, len(stream) / 2, len(stream) - 1} {
-			if cut < len(stream) {
-				f.Add(append([]byte(nil), stream[:cut]...))
-			}
-		}
-		// Corrupted version and magic bytes.
-		bad := append([]byte(nil), stream...)
-		bad[len(magic)] = 99
-		f.Add(bad)
-		bad2 := append([]byte(nil), stream...)
-		bad2[0] = 'X'
-		f.Add(bad2)
+	stream, ends := fuzzSeedStream(f)
+	pre := append([]byte(nil), stream[:preambleLen]...)
+	f.Add(stream)
+	// Truncations: inside the preamble and the first frame header, then
+	// at every message boundary and halfway into every message.
+	for _, cut := range []int{3, preambleLen, preambleLen + 2} {
+		f.Add(append([]byte(nil), stream[:cut]...))
 	}
-	// Oversize frame header right after a valid preamble.
-	huge := fuzzSeedStream(f, Version)[:preambleLen]
-	huge = append(huge, 0xff, 0xff, 0xff, 0xff)
-	f.Add(huge)
-	// Zero-length frames followed by garbage.
-	zero := fuzzSeedStream(f, Version)[:preambleLen]
-	zero = append(zero, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3)
-	f.Add(zero)
-	// A frame whose header claims more than the stream holds.
-	short := fuzzSeedStream(f, Version)[:preambleLen]
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1024)
-	short = append(short, hdr[:]...)
-	short = append(short, 'x', 'y')
-	f.Add(short)
-	// Chunk frames (version 4). Writer-built chunked transfers start at
-	// MaxFrame — too big for a seed — so these are hand-framed small
-	// transfers exercising the same reader path: a valid two-chunk
-	// transfer, a declared-oversize one, a CRC mismatch, a sequence
-	// break, and a truncated chunk header.
+	start := preambleLen
+	for _, end := range ends[:len(ends)-1] {
+		f.Add(append([]byte(nil), stream[:end]...))
+		f.Add(append([]byte(nil), stream[:(start+end)/2]...))
+		start = end
+	}
+	f.Add(append([]byte(nil), stream[:len(stream)-1]...))
+	// Every frame header of the stream made to claim 256 more bytes.
+	start = preambleLen
+	for _, end := range ends {
+		bad := append([]byte(nil), stream...)
+		bad[start+2]++
+		f.Add(bad)
+		start = end
+	}
+	// Corrupted magic, and every version byte but the current one.
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, Version + 1, 99} {
+		bad := append([]byte(nil), stream...)
+		bad[len(magic)] = v
+		f.Add(bad)
+	}
+	bad := append([]byte(nil), stream...)
+	bad[0] = 'X'
+	f.Add(bad)
+	// Oversize, empty, and short frame headers right after the preamble.
+	f.Add(append(append([]byte(nil), pre...), 0x7f, 0xff, 0xff, 0xff))
+	f.Add(append(append([]byte(nil), pre...), 0x40, 0, 0, 8, 1, 2, 3, 4))
+	f.Add(append(append([]byte(nil), pre...), 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3))
+	f.Add(append(append([]byte(nil), pre...), 0, 0, 4, 0, 'x', 'y'))
+
+	// Chunk frames. Writer-built chunked transfers start at MaxFrame —
+	// too big for a seed — so these are hand-framed small transfers of a
+	// real message encoding exercising the same reader path: a valid
+	// three-chunk transfer followed by a plain frame, a declared-oversize
+	// one, a CRC mismatch, a sequence break, a plain frame interrupting,
+	// and truncated chunk headers and data.
 	{
-		pre := fuzzSeedStream(f, Version)[:preambleLen]
-		valid := append(append([]byte(nil), pre...), chunkFrame(8, 0, 2, []byte("abcd"))...)
-		valid = append(valid, chunkFrame(8, 1, 2, []byte("efgh"))...)
-		f.Add(valid)
+		body, err := appendMsg(nil, NewMsg(1, 2, fuzzSeedPayloads()[0]))
+		if err != nil {
+			f.Fatal(err)
+		}
+		total := uint64(len(body))
+		third := len(body) / 3
+		c0 := chunkFrame(total, 0, 3, body[:third])
+		c1 := chunkFrame(total, 1, 3, body[third:2*third])
+		c2 := chunkFrame(total, 2, 3, body[2*third:])
+		valid := append(append(append(append([]byte(nil), pre...), c0...), c1...), c2...)
+		f.Add(append(valid, stream[ends[len(ends)-2]:]...))
+		f.Add(append(append([]byte(nil), pre...), chunkFrame(8, 0, 2, []byte("abcd"))...))
 
 		var oversize [4 + chunkHeaderLen]byte
 		binary.BigEndian.PutUint32(oversize[0:4], chunkFlag|uint32(chunkHeaderLen+16))
@@ -104,50 +143,54 @@ func FuzzReadMsg(f *testing.F) {
 		binary.BigEndian.PutUint32(oversize[16:20], 1)
 		f.Add(append(append([]byte(nil), pre...), oversize[:]...))
 
-		crcBad := append(append([]byte(nil), pre...), chunkFrame(4, 0, 1, []byte("abcd"))...)
-		crcBad[len(crcBad)-1] ^= 0x40
+		crcBad := append([]byte(nil), valid...)
+		crcBad[len(pre)+len(c0)+len(c1)-1] ^= 0x40
 		f.Add(crcBad)
 
-		f.Add(append(append([]byte(nil), pre...), chunkFrame(8, 1, 2, []byte("efgh"))...))
-		f.Add(append(append([]byte(nil), pre...), chunkFrame(8, 0, 2, []byte("abcd"))[:9]...))
+		f.Add(append(append(append([]byte(nil), pre...), c0...), c2...))
+		f.Add(append(append(append([]byte(nil), pre...), c1...), c0...))
+		f.Add(append(append(append([]byte(nil), pre...), c0...), plainFrame(body)...))
+		f.Add(append(append([]byte(nil), pre...), c0[:9]...))
+		f.Add(valid[:len(valid)-len(c2)/2])
 	}
-	// Binary fast-path frames (version 5). A valid frame with interior
-	// corruption at several offsets, an empty and an oversize binFlag
-	// header, both flag bits set, a binary frame under a v4 preamble,
-	// and an over-bound batch count inside the frame.
+
+	// Corrupt message internals: a valid frame with one byte flipped at
+	// several offsets, unknown shapes and tags, an over-bound batch
+	// count, over-deep nesting, and trailing bytes.
 	{
-		pre := fuzzSeedStream(f, Version)[:preambleLen]
-		pkt := datalink.Packet{Kind: datalink.KindData, Session: 9, Seq: 3,
-			Batch: []any{core.Envelope{App: "app"}, "raw"}}
-		body, ok := appendBinaryMsg(nil, NewMsg(1, 2, pkt))
-		if !ok {
-			f.Fatal("seed packet should be binary-encodable")
+		body, err := appendMsg(nil, NewMsg(1, 2, fuzzSeedPayloads()[2]))
+		if err != nil {
+			f.Fatal(err)
 		}
-		frame := func(b []byte) []byte {
-			var hdr [4]byte
-			binary.BigEndian.PutUint32(hdr[:], binFlag|uint32(len(b)))
-			return append(hdr[:], b...)
-		}
-		valid := append(append([]byte(nil), pre...), frame(body)...)
+		valid := append(append([]byte(nil), pre...), plainFrame(body)...)
 		f.Add(valid)
-		for _, off := range []int{0, len(body) / 4, len(body) / 2, len(body) - 1} {
+		for i := 1; i < 8; i++ {
 			bad := append([]byte(nil), valid...)
-			bad[preambleLen+4+off] ^= 0xff
+			bad[preambleLen+4+i*len(body)/8] ^= 0xff
 			f.Add(bad)
 		}
-		f.Add(append(append([]byte(nil), pre...), 0x40, 0, 0, 0))             // empty binFlag frame
-		f.Add(append(append([]byte(nil), pre...), 0x7f, 0xff, 0xff, 0xff))    // binFlag, size > MaxFrame
-		f.Add(append(append([]byte(nil), pre...), 0xc0, 0, 0, 8, 1, 2, 3, 4)) // chunkFlag|binFlag
-		v4pre := append([]byte(nil), pre...)
-		v4pre[len(magic)] = 4
-		f.Add(append(v4pre, frame(body)...))
-		overBatch := append(append([]byte(nil), pre...), frame([]byte{
-			2, 4, byte(datalink.KindData),
-			0, 0, 0, 0, 0, 0, 0, 1, 1,
-			3,                            // shapeBatch
-			0xff, 0xff, 0xff, 0xff, 0x7f, // absurd count
-		})...)
-		f.Add(overBatch)
+		session := []byte{0, 0, 0, 0, 0, 0, 0, 1}
+		pkt := func(kind byte, rest ...byte) []byte {
+			b := append([]byte{2, 4, kind}, session...)
+			return append(append(b, 1), rest...)
+		}
+		for _, b := range [][]byte{
+			pkt(byte(datalink.KindData), 9),                                  // unknown shape
+			pkt(byte(datalink.KindData), shapeRaw, 0x63),                     // unknown anyVal tag
+			pkt(byte(datalink.KindData), shapeBatch, 2, shapeRaw, 0, 7),      // unknown batch item
+			pkt(byte(datalink.KindData), shapeBatch, 0xff, 0xff, 0xff, 0x7f), // absurd count
+			pkt(byte(datalink.KindData), shapeEnv, 0xff),                     // every envelope flag, no body
+			pkt(byte(datalink.KindAck), shapeRaw, tagNil, 0),                 // trailing byte
+			{2, 4, kindNone, tagMapSS, 0xff, 0x01},                           // over-bound map
+			{2, 4, kindNone, tagString, 0x80},                                // bad uvarint
+		} {
+			f.Add(append(append([]byte(nil), pre...), plainFrame(b)...))
+		}
+		deep := []byte{2, 4, kindNone}
+		for i := 0; i <= maxAnyDepth; i++ {
+			deep = append(deep, tagSMRBatch, 1)
+		}
+		f.Add(append(append([]byte(nil), pre...), plainFrame(append(deep, tagNil))...))
 	}
 	// An over-MaxWireBatch batch in an otherwise valid stream.
 	{
@@ -178,10 +221,9 @@ func FuzzReadMsg(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if m.HasPkt && len(m.Pkt.Batch) > MaxWireBatch {
-				t.Fatalf("reader passed a %d-payload batch through", len(m.Pkt.Batch))
+			if pkt, ok := m.Payload.(datalink.Packet); ok && len(pkt.Batch) > MaxWireBatch {
+				t.Fatalf("reader passed a %d-payload batch through", len(pkt.Batch))
 			}
-			m.Payload() // reconstruction must not panic either
 		}
 	})
 }

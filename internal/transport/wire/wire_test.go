@@ -2,8 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
@@ -47,7 +45,7 @@ func roundTrip(t *testing.T, payloads ...any) []any {
 		if m.From != 1 || m.To != 2 {
 			t.Fatalf("read %d: routing %v->%v", i, m.From, m.To)
 		}
-		out = append(out, m.Payload())
+		out = append(out, m.Payload)
 	}
 	return out
 }
@@ -104,9 +102,9 @@ func TestFullEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestZeroValueFieldsSurvive guards the gob nil-vs-zero hazard: pointers
-// to zero values (an explicit join denial, an all-clear recMA message)
-// must arrive as non-nil pointers to zero values, not as nil.
+// TestZeroValueFieldsSurvive guards the nil-vs-zero hazard: pointers to
+// zero values (an explicit join denial, an all-clear recMA message) must
+// arrive as non-nil pointers to zero values, not as nil.
 func TestZeroValueFieldsSurvive(t *testing.T) {
 	env := core.Envelope{
 		RecMA:    &recma.Message{}, // all-clear flags
@@ -132,10 +130,9 @@ func TestZeroValueFieldsSurvive(t *testing.T) {
 	}
 }
 
-// TestShardTaggedEnvelopeRoundTrip exercises the version-2 shard-mux
-// field: payloads of shards ≥ 1 travel tagged, and — the gob hazard the
-// explicit-presence schema guards — an entry tagged shard 0 survives
-// even though gob elides zero-valued struct fields.
+// TestShardTaggedEnvelopeRoundTrip exercises the shard-mux field:
+// payloads of shards ≥ 1 travel tagged, and an entry tagged shard 0
+// keeps its zero tag.
 func TestShardTaggedEnvelopeRoundTrip(t *testing.T) {
 	st := regmem.State{Base: map[string]string{"a": "1"}, Delta: &regmem.Delta{Name: "b", Value: "2"}, Depth: 1}
 	app0 := vs.Payload{Replica: &vs.Replica{Status: vs.StatusMulticast, Rnd: 1, State: st}}
@@ -143,7 +140,7 @@ func TestShardTaggedEnvelopeRoundTrip(t *testing.T) {
 	env := core.Envelope{
 		App: app0,
 		ShardApps: []core.ShardApp{
-			{Shard: 0, App: app0}, // tag 0 must survive gob's zero elision
+			{Shard: 0, App: app0}, // a zero tag must survive
 			{Shard: 1, App: app1},
 		},
 	}
@@ -167,9 +164,8 @@ func TestShardTaggedEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnshardedEnvelopeHasNoShardField: a single-shard envelope encodes
-// exactly as before sharding — no shard field materializes on decode, so
-// shard-0-only deployments see no format break.
+// TestUnshardedEnvelopeHasNoShardField: a single-shard envelope carries
+// no shard field, and none materializes on decode.
 func TestUnshardedEnvelopeHasNoShardField(t *testing.T) {
 	env := core.Envelope{App: vs.Payload{Replica: &vs.Replica{Status: vs.StatusMulticast}}}
 	in := datalink.Packet{Kind: datalink.KindData, Session: 2, Payload: env}
@@ -180,42 +176,6 @@ func TestUnshardedEnvelopeHasNoShardField(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, env) {
 		t.Fatalf("round trip mismatch:\n in=%#v\nout=%#v", env, out)
-	}
-}
-
-// TestReaderAcceptsMinVersionStream: a stream stamped with the
-// pre-sharding preamble version still decodes (the shard field is a
-// gob-compatible addition; old frames just carry HasShards=false).
-func TestReaderAcceptsMinVersionStream(t *testing.T) {
-	var buf bytes.Buffer
-	// Version 4 emits the current message schema with plain gob framing
-	// (the version-5 binary fast path is a framing change, and binary
-	// frames are rightly rejected under a downgraded preamble).
-	w, err := NewWriterVersion(&buf, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := core.Envelope{RecMA: &recma.Message{NoMaj: true}}
-	if err := w.WriteMsg(NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 9, Payload: env})); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[6] = MinVersion // rewrite the preamble's version byte
-	r, err := NewReader(bytes.NewReader(b))
-	if err != nil {
-		t.Fatalf("MinVersion preamble rejected: %v", err)
-	}
-	m, err := r.ReadMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := m.Payload().(datalink.Packet)
-	out := pkt.Payload.(core.Envelope)
-	if out.RecMA == nil || !out.RecMA.NoMaj {
-		t.Fatalf("v1 frame lost content: %+v", out)
-	}
-	if out.ShardApps != nil {
-		t.Fatalf("v1 frame materialized ShardApps: %+v", out.ShardApps)
 	}
 }
 
@@ -235,8 +195,7 @@ func TestControlAndRawPayloads(t *testing.T) {
 	}
 }
 
-// TestBatchedPacketRoundTrip exercises the version-3 batch field: a
-// DATA packet carrying several payloads — envelopes (with shard tags)
+// TestBatchedPacketRoundTrip exercises the batch field: a DATA packet carrying several payloads — envelopes (with shard tags)
 // and raw values mixed — survives the trip with order and presence
 // intact.
 func TestBatchedPacketRoundTrip(t *testing.T) {
@@ -259,7 +218,7 @@ func TestBatchedPacketRoundTrip(t *testing.T) {
 }
 
 // TestEmptyBatchDistinctFromUnbatched: explicit presence means a
-// zero-length batch is not confused with a legacy single-payload packet.
+// zero-length batch is not confused with a single-payload packet.
 func TestEmptyBatchDistinctFromUnbatched(t *testing.T) {
 	in := datalink.Packet{Kind: datalink.KindData, Session: 1, Seq: 1, Batch: []any{}}
 	got := roundTrip(t, in)[0].(datalink.Packet)
@@ -268,90 +227,6 @@ func TestEmptyBatchDistinctFromUnbatched(t *testing.T) {
 	}
 	if len(got.Batch) != 0 || got.Payload != nil {
 		t.Fatalf("empty batch mutated: %#v", got)
-	}
-}
-
-// roundTripVersion writes payloads through a writer negotiated down to
-// the given version and decodes them back.
-func roundTripVersion(t *testing.T, version byte, payloads ...any) []any {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range payloads {
-		if err := w.WriteMsg(NewMsg(1, 2, p)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	if got := buf.Bytes()[6]; got != version {
-		t.Fatalf("preamble stamps version %d, want %d", got, version)
-	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]any, 0, len(payloads))
-	for i := range payloads {
-		m, err := r.ReadMsg()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		out = append(out, m.Payload())
-	}
-	return out
-}
-
-// TestWriterDowngradesBatchesToVersion2: a writer negotiated to version
-// 2 collapses a batched packet to its freshest payload in the legacy
-// slot — old readers see a well-formed version-2 stream, the dropped
-// payloads count as link omissions.
-func TestWriterDowngradesBatchesToVersion2(t *testing.T) {
-	envOld := core.Envelope{App: "stale"}
-	envNew := core.Envelope{
-		App:       "fresh",
-		ShardApps: []core.ShardApp{{Shard: 1, App: "s1"}},
-	}
-	in := datalink.Packet{Kind: datalink.KindData, Session: 4, Seq: 2, Batch: []any{envOld, envNew}}
-	got := roundTripVersion(t, 2, in)[0].(datalink.Packet)
-	if got.Batch != nil {
-		t.Fatalf("version-2 stream carried a batch: %#v", got)
-	}
-	env, ok := got.Payload.(core.Envelope)
-	if !ok || env.App != "fresh" {
-		t.Fatalf("downgrade kept %#v, want the freshest payload", got.Payload)
-	}
-	if len(env.ShardApps) != 1 || env.ShardApps[0].Shard != 1 {
-		t.Fatalf("version 2 must keep shard tags: %#v", env.ShardApps)
-	}
-}
-
-// TestWriterDowngradesShardsToVersion1: version 1 additionally drops the
-// shard-mux field (shards >= 1), keeping shard 0 traffic intact.
-func TestWriterDowngradesShardsToVersion1(t *testing.T) {
-	env := core.Envelope{
-		App:       "zero",
-		ShardApps: []core.ShardApp{{Shard: 1, App: "one"}},
-	}
-	in := datalink.Packet{Kind: datalink.KindData, Session: 4, Seq: 0, Payload: env}
-	got := roundTripVersion(t, 1, in)[0].(datalink.Packet)
-	out := got.Payload.(core.Envelope)
-	if out.App != "zero" {
-		t.Fatalf("shard 0 payload lost: %#v", out)
-	}
-	if out.ShardApps != nil {
-		t.Fatalf("version-1 stream carried shard tags: %#v", out.ShardApps)
-	}
-}
-
-func TestWriterRejectsUnsupportedVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := NewWriterVersion(&buf, 0); err == nil {
-		t.Fatal("version 0 accepted")
-	}
-	if _, err := NewWriterVersion(&buf, Version+1); err == nil {
-		t.Fatal("future version accepted")
 	}
 }
 
@@ -376,7 +251,7 @@ func frameSizes(t *testing.T, b []byte) []int {
 }
 
 // TestOversizeMessageSplitsAcrossFrames is the MaxFrame boundary
-// regression: a message encoding just past MaxFrame is split across
+// regression: a message encoding just past MaxFrame is chunked across
 // frames (each within the bound) instead of erroring after buffering,
 // and decodes back intact; one encoding just under stays a single
 // frame.
@@ -419,16 +294,15 @@ func TestOversizeMessageSplitsAcrossFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("split message did not decode: %v", err)
 	}
-	if got, ok := m.Payload().(string); !ok || got != payload {
+	if got, ok := m.Payload.(string); !ok || got != payload {
 		t.Fatalf("split message corrupted (len %d)", len(got))
 	}
 }
 
 // TestMessageSizeBoundsSymmetry: the writer refuses encodings beyond
 // MaxMessage (every reader would reject them — writing one would
-// dead-loop the link on retransmission), and a reader fed a
-// hand-framed over-budget message cuts it off at the per-message
-// budget instead of buffering it in full.
+// dead-loop the link on retransmission), and a reader fed a hand-framed
+// over-budget transfer refuses it instead of buffering it in full.
 func TestMessageSizeBoundsSymmetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates several ×MaxMessage")
@@ -450,34 +324,29 @@ func TestMessageSizeBoundsSymmetry(t *testing.T) {
 		t.Fatalf("refused message still emitted %d frames", len(got))
 	}
 
-	// Hand-frame the same gob encoding (bypassing the writer's bound,
-	// as a hostile peer would) and confirm the reader stops feeding the
-	// decoder at MaxMessage.
-	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(big); err != nil {
+	// Chunk the same encoding by hand (bypassing the writer's bound, as
+	// a hostile peer would) and confirm the reader refuses it.
+	enc, err := appendMsg(nil, big)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var stream bytes.Buffer
-	stream.Write(magic[:])
-	stream.WriteByte(Version)
-	stream.WriteByte(0)
-	for b := gobBuf.Bytes(); len(b) > 0; {
-		n := len(b)
-		if n > MaxFrame {
-			n = MaxFrame
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(n))
-		stream.Write(hdr[:])
-		stream.Write(b[:n])
-		b = b[n:]
+	hostile, err := NewWriter(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hostile.appendChunked(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := hostile.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	r, err := NewReader(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadMsg(); err == nil {
-		t.Fatal("message beyond MaxMessage accepted by reader")
+	if _, err := r.ReadMsg(); err == nil || !strings.Contains(err.Error(), "MaxMessage") {
+		t.Fatalf("message beyond MaxMessage accepted by reader: %v", err)
 	}
 }
 
@@ -539,26 +408,72 @@ func TestReaderRejectsOversizeFrame(t *testing.T) {
 	}
 }
 
-func TestStreamReusesTypeDefinitions(t *testing.T) {
-	env := core.Envelope{RecMA: &recma.Message{NoMaj: true}}
-	pkt := datalink.Packet{Kind: datalink.KindData, Session: 3, Payload: env}
+// TestReaderRejectsOldVersions: a stream stamped with any earlier
+// version (1–5) is refused at the preamble, even when the frames that
+// follow are well formed.
+func TestReaderRejectsOldVersions(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteMsg(NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 9, Payload: "x"})); err != nil {
+		t.Fatal(err)
+	}
+	for v := byte(1); v < Version; v++ {
+		stream := append([]byte(nil), buf.Bytes()...)
+		stream[len(magic)] = v
+		if _, err := NewReader(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Errorf("version-%d preamble accepted: %v", v, err)
+		}
+	}
+}
 
-	size := func(n int) int {
+// TestRefusedAppendLeavesStreamIntact: a message the codec refuses
+// writes nothing, so the stream stays byte-identical to one that never
+// saw it, and the messages around it still decode.
+func TestRefusedAppendLeavesStreamIntact(t *testing.T) {
+	before := NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Session: 1, Payload: core.Envelope{App: "before"}})
+	after := NewMsg(1, 2, datalink.Packet{Kind: datalink.KindAck, Session: 1, Seq: 1})
+	write := func(refused ...Msg) []byte {
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			if err := w.WriteMsg(NewMsg(1, 2, pkt)); err != nil {
-				t.Fatal(err)
+		if err := w.Append(before); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range refused {
+			if err := w.Append(m); !errors.Is(err, ErrUnsupportedPayload) {
+				t.Fatalf("Append(%#v) = %v, want ErrUnsupportedPayload", m.Payload, err)
 			}
 		}
-		return buf.Len()
+		if err := w.WriteMsg(after); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	one, ten := size(1), size(10)
-	perMsg := (ten - one) / 9
-	if perMsg >= one {
-		t.Fatalf("per-message cost %dB not below first-message cost %dB — type definitions resent?", perMsg, one)
+	clean := write()
+	got := write(
+		NewMsg(1, 2, outsideType{X: 1}),
+		NewMsg(1, 2, datalink.Packet{Kind: datalink.KindData, Batch: []any{"ok", outsideType{X: 2}}}),
+		NewMsg(1, 2, datalink.Packet{Kind: 0, Session: 3}),
+	)
+	if !bytes.Equal(got, clean) {
+		t.Fatalf("refused messages changed the stream:\n got %x\nwant %x", got, clean)
+	}
+	r, err := NewReader(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []Msg{before, after} {
+		m, err := r.ReadMsg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("decoded %#v, want %#v", m, want)
+		}
 	}
 }
