@@ -474,12 +474,12 @@ func (e *Endpoint) QueueLen(to ids.ID) int {
 func (e *Endpoint) Peers() ids.Set {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := ids.Set{}
-	//repolint:allow determinism -- set insertion is commutative; the resulting ids.Set is identical for every iteration order
+	out := make([]ids.ID, 0, len(e.peers))
+	//repolint:allow determinism -- NewSet sorts its input; the resulting ids.Set is identical for every iteration order
 	for id := range e.peers {
-		out = out.Add(id)
+		out = append(out, id)
 	}
-	return out
+	return ids.NewSet(out...)
 }
 
 // Connect establishes (or re-establishes) the data link toward a peer,

@@ -16,7 +16,8 @@
 package fd
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ids"
 )
@@ -46,10 +47,18 @@ func DefaultOptions(n int) Options {
 
 // Detector is the per-processor failure detector. It is a pure state
 // machine: feed Heartbeat from the data link, read Trusted.
+//
+// A Detector is owned by one goroutine. Trusted caches its result, so
+// even reads write to the detector; the cache stays valid until one of
+// the count mutators (Heartbeat, Forget, Bootstrap, CorruptCounts)
+// clears it.
 type Detector struct {
 	self   ids.ID
 	opts   Options
 	counts map[ids.ID]uint64
+
+	trusted      ids.Set // cached Trusted result, valid while trustedValid
+	trustedValid bool
 }
 
 // New constructs a detector for processor self.
@@ -76,6 +85,7 @@ func New(self ids.ID, opts Options) *Detector {
 // window (trusted = {self}) transiently violates the majority-supportive
 // core assumption and provokes spurious reconfigurations.
 func (d *Detector) Bootstrap(peers ids.Set) {
+	d.trustedValid = false
 	peers.Each(func(p ids.ID) {
 		if p != d.self && p.Valid() {
 			d.counts[p] = 0
@@ -89,6 +99,7 @@ func (d *Detector) Heartbeat(peer ids.ID) {
 	if !peer.Valid() || peer == d.self {
 		return
 	}
+	d.trustedValid = false
 	for id, c := range d.counts {
 		if id != peer && c < d.opts.MaxCount {
 			d.counts[id] = c + 1
@@ -98,7 +109,10 @@ func (d *Detector) Heartbeat(peer ids.ID) {
 }
 
 // Forget drops a peer's entry entirely (e.g., when the processor left).
-func (d *Detector) Forget(peer ids.ID) { delete(d.counts, peer) }
+func (d *Detector) Forget(peer ids.ID) {
+	d.trustedValid = false
+	delete(d.counts, peer)
+}
 
 // Count returns the current heartbeat count for peer and whether the peer
 // is known at all.
@@ -111,11 +125,12 @@ func (d *Detector) Count(peer ids.ID) (uint64, bool) {
 // the transient-fault hook for stabilization tests. Identifier order keeps
 // rng-based value generators deterministic.
 func (d *Detector) CorruptCounts(next func(ids.ID) uint64) {
+	d.trustedValid = false
 	order := make([]ids.ID, 0, len(d.counts))
 	for id := range d.counts {
 		order = append(order, id)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	for _, id := range order {
 		d.counts[id] = next(id) % d.opts.MaxCount
 	}
@@ -133,11 +148,11 @@ func (d *Detector) ranked() []rankedEntry {
 	for id, c := range d.counts {
 		out = append(out, rankedEntry{id, c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].count != out[j].count {
-			return out[i].count < out[j].count
+	slices.SortFunc(out, func(a, b rankedEntry) int {
+		if c := cmp.Compare(a.count, b.count); c != 0 {
+			return c
 		}
-		return out[i].id < out[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	return out
 }
@@ -146,25 +161,28 @@ func (d *Detector) ranked() []rankedEntry {
 // processors are eventually suspected, i.e. excluded). The processor always
 // trusts itself. The result is capped at N entries.
 func (d *Detector) Trusted() ids.Set {
-	trusted := ids.NewSet(d.self)
+	if d.trustedValid {
+		return d.trusted
+	}
 	ranked := d.ranked()
+	members := make([]ids.ID, 0, min(len(ranked)+1, d.opts.N))
+	if d.self.Valid() {
+		members = append(members, d.self)
+	}
 	prev := d.opts.GapFloor
-	for i, e := range ranked {
-		if trusted.Size() >= d.opts.N {
+	for _, e := range ranked {
+		if len(members) >= d.opts.N {
 			break
 		}
-		bound := prev
-		if bound < d.opts.GapFloor {
-			bound = d.opts.GapFloor
-		}
+		bound := max(prev, d.opts.GapFloor)
 		if e.count > bound*uint64(d.opts.GapFactor) {
 			break // the significant gap: everything from here is suspected
 		}
-		trusted = trusted.Add(e.id)
+		members = append(members, e.id)
 		prev = e.count
-		_ = i
 	}
-	return trusted
+	d.trusted, d.trustedValid = ids.NewSet(members...), true
+	return d.trusted
 }
 
 // Estimate returns ni, the detector's estimate of the number of active
@@ -174,11 +192,11 @@ func (d *Detector) Estimate() int { return d.Trusted().Size() }
 // Suspected returns known peers that are not trusted.
 func (d *Detector) Suspected() ids.Set {
 	t := d.Trusted()
-	out := ids.Set{}
+	var out []ids.ID
 	for id := range d.counts {
 		if !t.Contains(id) {
-			out = out.Add(id)
+			out = append(out, id)
 		}
 	}
-	return out
+	return ids.NewSet(out...)
 }

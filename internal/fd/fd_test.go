@@ -1,7 +1,9 @@
 package fd
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -181,5 +183,174 @@ func TestDefaultsApplied(t *testing.T) {
 	d := New(1, Options{})
 	if d.opts.N <= 0 || d.opts.GapFactor < 2 || d.opts.GapFloor == 0 || d.opts.MaxCount == 0 {
 		t.Fatalf("defaults not applied: %+v", d.opts)
+	}
+}
+
+// referenceTrusted is the uncached algorithm Trusted replaced: rank with
+// sort.Slice on (count, id), then grow the set one Add at a time. The
+// differential test holds the cached Trusted to it.
+func referenceTrusted(d *Detector) ids.Set {
+	ranked := make([]rankedEntry, 0, len(d.counts))
+	for id, c := range d.counts {
+		ranked = append(ranked, rankedEntry{id, c})
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		if ranked[i].count != ranked[j].count {
+			return ranked[i].count < ranked[j].count
+		}
+		return ranked[i].id < ranked[j].id
+	})
+	trusted := ids.NewSet(d.self)
+	prev := d.opts.GapFloor
+	for _, e := range ranked {
+		if trusted.Size() >= d.opts.N {
+			break
+		}
+		bound := prev
+		if bound < d.opts.GapFloor {
+			bound = d.opts.GapFloor
+		}
+		if e.count > bound*uint64(d.opts.GapFactor) {
+			break
+		}
+		trusted = trusted.Add(e.id)
+		prev = e.count
+	}
+	return trusted
+}
+
+// TestTrustedCacheMatchesReference drives random sequences of every count
+// mutator and Trusted reads, and checks the cached Trusted (and the
+// Suspected/Estimate views built on it) against referenceTrusted after
+// every operation. Peer universes larger than N exercise the N cap; a
+// set of rarely beating peers and corrupted counts open the gap.
+func TestTrustedCacheMatchesReference(t *testing.T) {
+	for _, n := range []int{3, 8, 24} {
+		for _, peers := range []int{n - 1, n + 5, 2 * n} {
+			t.Run(fmt.Sprintf("N=%d/peers=%d", n, peers), func(t *testing.T) {
+				var gaps, caps int
+				for seed := int64(1); seed <= 20; seed++ {
+					g, c := checkTrustedRun(t, n, peers, seed)
+					gaps, caps = gaps+g, caps+c
+				}
+				// The run must reach both ways a known peer goes
+				// untrusted, or it tests less than it claims.
+				if gaps == 0 || (peers >= n && caps == 0) {
+					t.Fatalf("coverage: %d reads past a gap, %d at the N cap", gaps, caps)
+				}
+			})
+		}
+	}
+}
+
+// checkTrustedRun runs one random sequence and returns how many of its
+// reads left a known peer untrusted below the N cap (a gap) and at it.
+func checkTrustedRun(t *testing.T, n, peers int, seed int64) (gaps, caps int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	d := New(1, DefaultOptions(n))
+	// Peers 2..peers+1; a random part of them beats often, the rest
+	// rarely, so their counts climb past the gap.
+	universe := ids.Range(2, ids.ID(peers+1)).Members()
+	often := make(map[ids.ID]bool)
+	for _, p := range universe {
+		often[p] = rng.Intn(3) > 0
+	}
+	randomPeer := func() ids.ID {
+		if rng.Intn(20) == 0 {
+			return ids.ID(rng.Intn(3) - 1) // self, None or an invalid id
+		}
+		return universe[rng.Intn(len(universe))]
+	}
+	for step := 0; step < 400; step++ {
+		var op string
+		switch r := rng.Intn(100); {
+		case r < 70:
+			p := randomPeer()
+			if p.Valid() && !often[p] && rng.Intn(8) > 0 {
+				op = "Trusted"
+				break
+			}
+			op = fmt.Sprintf("Heartbeat(%v)", p)
+			d.Heartbeat(p)
+		case r < 80:
+			p := randomPeer()
+			op = fmt.Sprintf("Forget(%v)", p)
+			d.Forget(p)
+		case r < 86:
+			var sub []ids.ID
+			for _, p := range universe {
+				if rng.Intn(3) == 0 {
+					sub = append(sub, p)
+				}
+			}
+			op = fmt.Sprintf("Bootstrap(%v)", ids.NewSet(sub...))
+			d.Bootstrap(ids.NewSet(sub...))
+		case r < 90:
+			op = "CorruptCounts"
+			limit := int64(4 * 4 * d.opts.GapFloor)
+			d.CorruptCounts(func(ids.ID) uint64 { return uint64(rng.Int63n(limit)) })
+		default:
+			op = "Trusted"
+		}
+		want := referenceTrusted(d)
+		for read := 0; read < 2; read++ { // a miss, then a cache hit
+			if got := d.Trusted(); !got.Equal(want) {
+				t.Fatalf("seed %d step %d after %s: Trusted = %v, reference %v", seed, step, op, got, want)
+			}
+		}
+		if got := d.Estimate(); got != want.Size() {
+			t.Fatalf("seed %d step %d after %s: Estimate = %d, want %d", seed, step, op, got, want.Size())
+		}
+		var suspected []ids.ID
+		for id := range d.counts {
+			if !want.Contains(id) {
+				suspected = append(suspected, id)
+			}
+		}
+		if got := d.Suspected(); !got.Equal(ids.NewSet(suspected...)) {
+			t.Fatalf("seed %d step %d after %s: Suspected = %v, want %v", seed, step, op, got, ids.NewSet(suspected...))
+		}
+		switch {
+		case len(suspected) == 0:
+		case want.Size() < n:
+			gaps++
+		default:
+			caps++
+		}
+	}
+	return gaps, caps
+}
+
+var trustedSink ids.Set
+
+// BenchmarkDetectorTrusted measures a Trusted read with every peer alive
+// and beating: "steady" reads an unchanged detector, "afterHeartbeat"
+// records one heartbeat before each read, as every datalink token does.
+func BenchmarkDetectorTrusted(b *testing.B) {
+	for _, n := range []int{8, 24} {
+		alive := ids.Range(2, ids.ID(n)).Members()
+		setup := func() *Detector {
+			d := New(1, DefaultOptions(n))
+			simulateRounds(d, alive, 20)
+			return d
+		}
+		b.Run(fmt.Sprintf("N=%d/steady", n), func(b *testing.B) {
+			d := setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				trustedSink = d.Trusted()
+			}
+		})
+		b.Run(fmt.Sprintf("N=%d/afterHeartbeat", n), func(b *testing.B) {
+			d := setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Heartbeat(alive[i%len(alive)])
+				trustedSink = d.Trusted()
+			}
+		})
 	}
 }

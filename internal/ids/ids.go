@@ -11,7 +11,7 @@
 package ids
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -55,7 +55,7 @@ func NewSet(members ...ID) Set {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	dedup := out[:0]
 	var prev ID
 	for _, id := range out {
@@ -90,8 +90,8 @@ func (s Set) Empty() bool { return len(s.members) == 0 }
 
 // Contains reports membership of id.
 func (s Set) Contains(id ID) bool {
-	i := sort.Search(len(s.members), func(i int) bool { return s.members[i] >= id })
-	return i < len(s.members) && s.members[i] == id
+	_, found := slices.BinarySearch(s.members, id)
+	return found
 }
 
 // Members returns a fresh copy of the ordered member slice.
@@ -110,13 +110,17 @@ func (s Set) Each(fn func(ID)) {
 
 // Add returns s ∪ {id}.
 func (s Set) Add(id ID) Set {
-	if !id.Valid() || s.Contains(id) {
+	if !id.Valid() {
 		return s
 	}
-	out := make([]ID, 0, len(s.members)+1)
-	out = append(out, s.members...)
-	out = append(out, id)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	i, found := slices.BinarySearch(s.members, id)
+	if found {
+		return s
+	}
+	out := make([]ID, len(s.members)+1)
+	copy(out, s.members[:i])
+	out[i] = id
+	copy(out[i+1:], s.members[i:])
 	return Set{members: out}
 }
 
@@ -265,11 +269,4 @@ func (s Set) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

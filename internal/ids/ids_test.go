@@ -186,6 +186,17 @@ func TestQuickSetAlgebra(t *testing.T) {
 		if a.Compare(a) != 0 {
 			return false
 		}
+		// Add equals rebuilding from the members plus id, and leaves
+		// its receiver unchanged (ids 0 and 11 exercise the invalid and
+		// the beyond-the-end cases).
+		id := ID(rng.Intn(12))
+		before := a.Members()
+		if !a.Add(id).Equal(NewSet(append(a.Members(), id)...)) {
+			return false
+		}
+		if !a.Equal(NewSet(before...)) {
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -216,5 +227,21 @@ func TestQuickMajorityIntersection(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var setSink Set
+
+// BenchmarkSetAdd inserts into the middle of a 16-member set, the size of
+// the simulator's N=16 trusted sets.
+func BenchmarkSetAdd(b *testing.B) {
+	s := NewSet()
+	for id := ID(1); id <= 32; id += 2 {
+		s = s.Add(id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		setSink = s.Add(ID(2 + 2*(i%16)))
 	}
 }

@@ -163,14 +163,14 @@ func (n *Network) Crashed(id ids.ID) bool {
 
 // Alive returns the identifiers of non-crashed registered nodes.
 func (n *Network) Alive() ids.Set {
-	out := ids.Set{}
-	//repolint:allow determinism -- set insertion is commutative; the resulting ids.Set is identical for every iteration order
+	out := make([]ids.ID, 0, len(n.nodes))
+	//repolint:allow determinism -- NewSet sorts its input; the resulting ids.Set is identical for every iteration order
 	for id, ns := range n.nodes {
 		if !ns.crashed {
-			out = out.Add(id)
+			out = append(out, id)
 		}
 	}
-	return out
+	return ids.NewSet(out...)
 }
 
 // SetCut severs (or restores) both directions between a and b. Packets in a

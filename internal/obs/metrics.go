@@ -238,14 +238,13 @@ func escapeHelp(v string) string {
 // seriesFor resolves (creating as needed) the series of one name+labels
 // under a declared type, panicking on any inconsistency — registration
 // happens at wiring time, where a mistake is a bug, not a runtime
-// condition.
+// condition. The caller holds r.mu, and keeps holding it while it sets
+// the series' instrument fields, which Render copies under r.mu.
 func (r *Registry) seriesFor(name, help, typ string, labels Labels) *series {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	lbl := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.fams[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, series: make(map[string]*series)}
@@ -266,6 +265,8 @@ func (r *Registry) seriesFor(name, help, typ string, labels Labels) *series {
 // Counter registers (or fetches) a counter series. Keep the returned
 // pointer; increments through it are allocation-free.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.seriesFor(name, help, TypeCounter, labels)
 	if s.counterFn != nil {
 		panic(fmt.Sprintf("obs: %s%s already registered as a counter view", name, s.labels))
@@ -280,6 +281,8 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 // it to expose an existing atomic counter (a package's Stats field)
 // without counting it twice.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.seriesFor(name, help, TypeCounter, labels)
 	if s.counter != nil || s.counterFn != nil {
 		panic(fmt.Sprintf("obs: duplicate counter registration %s%s", name, s.labels))
@@ -289,6 +292,8 @@ func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint6
 
 // Gauge registers (or fetches) a gauge series.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.seriesFor(name, help, TypeGauge, labels)
 	if s.gaugeFn != nil {
 		panic(fmt.Sprintf("obs: %s%s already registered as a gauge view", name, s.labels))
@@ -301,6 +306,8 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 
 // GaugeFunc registers a gauge view evaluated at render time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.seriesFor(name, help, TypeGauge, labels)
 	if s.gauge != nil || s.gaugeFn != nil {
 		panic(fmt.Sprintf("obs: duplicate gauge registration %s%s", name, s.labels))
@@ -312,6 +319,8 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 // bucket upper bounds (+Inf implicit). Re-registration must use
 // identical bounds.
 func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.seriesFor(name, help, TypeHistogram, labels)
 	if s.hist == nil {
 		s.hist = NewHistogram(buckets)
@@ -349,19 +358,30 @@ func (r *Registry) Render(w io.Writer) error {
 		fn()
 	}
 
+	// Copy every family's series under the lock: registration may add
+	// series (or attach their instruments) while the page is written.
+	type snapshot struct {
+		f      *family
+		series []series
+	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.fams))
 	for n := range r.fams {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	fams := make([]snapshot, len(names))
 	for i, n := range names {
-		fams[i] = r.fams[n]
+		f := r.fams[n]
+		fams[i] = snapshot{f: f, series: make([]series, len(f.order))}
+		for j, lbl := range f.order {
+			fams[i].series[j] = *f.series[lbl]
+		}
 	}
 	r.mu.Unlock()
 
-	for _, f := range fams {
+	for _, fs := range fams {
+		f := fs.f
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
 				return err
@@ -370,8 +390,8 @@ func (r *Registry) Render(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
 			return err
 		}
-		for _, lbl := range f.order {
-			if err := renderSeries(w, f, f.series[lbl]); err != nil {
+		for j := range fs.series {
+			if err := renderSeries(w, f, &fs.series[j]); err != nil {
 				return err
 			}
 		}

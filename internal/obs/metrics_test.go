@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -107,7 +108,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 }
 
 // TestConcurrentIncrements hammers every instrument kind from many
-// goroutines (run under -race) and checks the totals are exact.
+// goroutines (run under -race) and checks the totals are exact. The
+// workers also register new series as they go, as the HTTP middleware
+// does per route, while Render runs.
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("repro_test_c_total", "", nil)
@@ -124,6 +127,11 @@ func TestConcurrentIncrements(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(1.5)
+				if i%500 == 0 {
+					route := Labels{"route": strconv.Itoa(w*per + i)}
+					r.Counter("repro_test_route_total", "", route).Inc()
+					r.Histogram("repro_test_route_seconds", "", route, []float64{1}).Observe(0.5)
+				}
 			}
 		}()
 	}

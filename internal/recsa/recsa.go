@@ -790,13 +790,13 @@ func (r *RecSA) HandleMessage(from ids.ID, m Message) {
 // identifiers that corrupted sets may mention.
 func (r *RecSA) CorruptState(rng *rand.Rand, universe ids.Set) {
 	randomSet := func() ids.Set {
-		out := ids.Set{}
+		var out []ids.ID
 		universe.Each(func(id ids.ID) {
 			if rng.Intn(2) == 0 {
-				out = out.Add(id)
+				out = append(out, id)
 			}
 		})
-		return out
+		return ids.NewSet(out...)
 	}
 	randomConfig := func() Config {
 		switch rng.Intn(4) {

@@ -11,16 +11,13 @@
 // reproducible from its seed.
 package sim
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // Time is a virtual timestamp. The unit is arbitrary ("ticks"); only the
 // relative order of events matters to the protocols.
 type Time int64
 
-// Event is a scheduled callback.
+// event is a scheduled callback.
 type event struct {
 	at  Time
 	seq uint64 // insertion order, breaks timestamp ties deterministically
@@ -29,24 +26,61 @@ type event struct {
 	canceled *bool
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the queue's total order: by time, then by insertion.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of event values under before. Since
+// before is a total order (seq is unique), the pop sequence does not
+// depend on the heap's internal layout.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the closure references
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && h[r].before(&h[child]) {
+				child = r
+			}
+			if !h[child].before(&last) {
+				break
+			}
+			h[i] = h[child]
+			i = child
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Scheduler is a deterministic virtual-time event loop. The zero value is
@@ -84,9 +118,8 @@ func (s *Scheduler) At(t Time, fn func()) Cancel {
 		t = s.now
 	}
 	canceled := false
-	e := &event{at: t, seq: s.seq, fn: fn, canceled: &canceled}
+	s.queue.push(event{at: t, seq: s.seq, fn: fn, canceled: &canceled})
 	s.seq++
-	heap.Push(&s.queue, e)
 	return func() { canceled = true }
 }
 
@@ -130,7 +163,7 @@ func (s *Scheduler) Halt() { s.halted = true }
 // exhausted.
 func (s *Scheduler) step() bool {
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*event)
+		e := s.queue.pop()
 		if *e.canceled {
 			continue
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -186,4 +187,155 @@ func TestPastEventClamped(t *testing.T) {
 		})
 	})
 	s.RunUntil(100)
+}
+
+// TestQuickSchedulerOrder interleaves random At/After/Every calls and
+// cancellations (some made from inside running events) with RunSteps,
+// then drains the queue. Events must run in increasing (at, seq) order,
+// at their clamped time; canceled one-shot events never run, every other
+// one-shot event runs exactly once, and a stopped series never fires
+// again.
+func TestQuickSchedulerOrder(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		checkSchedulerRun(t, seed)
+	}
+}
+
+type firing struct {
+	at  Time
+	seq uint64
+}
+
+func checkSchedulerRun(t *testing.T, seed int64) {
+	t.Helper()
+	s := NewScheduler(seed)
+	rng := rand.New(rand.NewSource(seed))
+	type oneShot struct {
+		at       Time
+		canceled bool
+		runs     int
+		cancel   Cancel
+	}
+	var (
+		shots   []*oneShot
+		series  []Cancel
+		stopped []bool
+		fired   []firing
+	)
+	// cancelShot cancels a random one-shot event; canceled records only
+	// cancellations that came before the event ran.
+	cancelShot := func() {
+		if len(shots) == 0 {
+			return
+		}
+		victim := shots[rng.Intn(len(shots))]
+		if victim.runs == 0 {
+			victim.canceled = true
+		}
+		victim.cancel()
+	}
+	// schedule adds a one-shot event; At assigns it the scheduler's next
+	// seq, so the test knows its place in the total order up front.
+	var schedule func()
+	schedule = func() {
+		e := &oneShot{}
+		seq := s.seq
+		t0 := s.Now() + Time(rng.Intn(12)) - 3 // some in the past: clamped
+		if t0 < s.Now() {
+			e.at = s.Now()
+		} else {
+			e.at = t0
+		}
+		fn := func() {
+			e.runs++
+			fired = append(fired, firing{s.Now(), seq})
+			if s.Now() != e.at {
+				t.Fatalf("seed %d: event seq %d ran at %d, scheduled for %d", seed, seq, s.Now(), e.at)
+			}
+			if rng.Intn(4) == 0 {
+				schedule()
+			}
+			if rng.Intn(6) == 0 {
+				cancelShot()
+			}
+		}
+		if rng.Intn(2) == 0 {
+			e.cancel = s.At(t0, fn)
+		} else {
+			e.cancel = s.After(t0-s.Now(), fn)
+		}
+		shots = append(shots, e)
+	}
+	addSeries := func() {
+		k := len(series)
+		stopped = append(stopped, false)
+		// A firing's seq is the scheduler's seq when its series was
+		// armed: at Every for the first one, right after the previous
+		// firing's callback (which schedules nothing itself) for the rest.
+		seq := s.seq
+		series = append(series, s.Every(Time(rng.Intn(8)), Time(rng.Intn(6)+1), Time(rng.Intn(3)), func() {
+			if stopped[k] {
+				t.Fatalf("seed %d: series %d fired after it was stopped", seed, k)
+			}
+			fired = append(fired, firing{s.Now(), seq})
+			seq = s.seq
+		}))
+	}
+	for round := 0; round < 40; round++ {
+		for ops := rng.Intn(5); ops > 0; ops-- {
+			switch r := rng.Intn(10); {
+			case r < 6:
+				schedule()
+			case r < 7:
+				addSeries()
+			case r < 9:
+				cancelShot()
+			default:
+				if len(series) > 0 {
+					k := rng.Intn(len(series))
+					stopped[k] = true
+					series[k]()
+				}
+			}
+		}
+		s.RunSteps(rng.Intn(10))
+	}
+	for k := range series {
+		stopped[k] = true
+		series[k]()
+	}
+	for s.Pending() > 0 {
+		s.RunSteps(1000)
+	}
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if a.at > b.at || (a.at == b.at && a.seq >= b.seq) {
+			t.Fatalf("seed %d: firing %d (at %d, seq %d) ran before (at %d, seq %d)", seed, i, a.at, a.seq, b.at, b.seq)
+		}
+	}
+	for i, e := range shots {
+		want := 1
+		if e.canceled {
+			want = 0
+		}
+		if e.runs != want {
+			t.Fatalf("seed %d: one-shot %d (canceled %v) ran %d times, want %d", seed, i, e.canceled, e.runs, want)
+		}
+	}
+}
+
+// BenchmarkSchedulerAtStep measures one After plus one executed step on a
+// queue holding about a thousand pending events.
+func BenchmarkSchedulerAtStep(b *testing.B) {
+	s := NewScheduler(1)
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		s.After(Time(i*7919%1000), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(Time(i*7919%1000), fn)
+		s.RunSteps(1)
+	}
 }

@@ -211,11 +211,11 @@ func (l *Net) Inspect(id ids.ID, fn func()) bool {
 func (l *Net) Alive() ids.Set {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := ids.Set{}
+	out := make([]ids.ID, 0, len(l.nodes))
 	for id := range l.nodes {
-		out = out.Add(id)
+		out = append(out, id)
 	}
-	return out
+	return ids.NewSet(out...)
 }
 
 // Crash implements transport.Transport: the node's goroutine exits and

@@ -421,11 +421,11 @@ func (t *Net) Inspect(id ids.ID, fn func()) bool {
 func (t *Net) Alive() ids.Set {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := ids.Set{}
+	out := make([]ids.ID, 0, len(t.local))
 	for id := range t.local {
-		out = out.Add(id)
+		out = append(out, id)
 	}
-	return out
+	return ids.NewSet(out...)
 }
 
 // Crash implements transport.Transport: the node's listener closes, its
